@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the tier-1 verification gate
 # (referenced from ROADMAP.md): vet, staticcheck (when installed), build
-# everything, and run the full test suite under the race detector.
+# everything, run the full test suite under the race detector, and vet and
+# short-test the perfbench module.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: check vet staticcheck build test race bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash
+.PHONY: check vet staticcheck build test race perfbench bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash
 
-check: vet staticcheck build race
+check: vet staticcheck build race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +32,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own Go module (see perfbench/README.md), so the root
+# `./...` patterns never compile it; vet and short-test it against the
+# core/cluster API it builds on.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench runs every benchmark and records the results as a dated JSON
 # artifact (see cmd/benchjson) so perf regressions are diffable across
@@ -65,7 +72,6 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneTemporal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneStack$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzPlaneSpatial$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice

@@ -208,42 +208,10 @@ func BenchmarkFig9OTISCorrelated(b *testing.B) {
 	}
 }
 
-// BenchmarkFig1Pipeline measures the full Figure 1 master/worker baseline:
-// fragment, preprocess, CR-reject, reassemble, compress.
-func BenchmarkFig1Pipeline(b *testing.B) {
-	cfg := spaceproc.DefaultSceneConfig()
-	cfg.Width, cfg.Height = 128, 128
-	cfg.Readouts = 16 // keep the per-iteration cost benchable
-	scene, err := spaceproc.NewScene(cfg, spaceproc.NewRNG(10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pre, err := spaceproc.NewAlgoNGST(spaceproc.DefaultNGSTConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := make([]spaceproc.Worker, 4)
-	for i := range workers {
-		w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		workers[i] = w
-	}
-	master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := master.Run(scene.Observed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig1PipelineTelemetry is BenchmarkFig1Pipeline with the
-// observability layer attached — compare the two to measure the cost of
+// BenchmarkFig1PipelineTelemetry measures the full Figure 1 master/worker
+// baseline (fragment, preprocess, CR-reject, reassemble, compress) with
+// the observability layer attached. BenchmarkPipelineRun/Shards1 runs the
+// same pipeline uninstrumented; compare the two to measure the cost of
 // instrumentation (it should stay within a few percent).
 func BenchmarkFig1PipelineTelemetry(b *testing.B) {
 	cfg := spaceproc.DefaultSceneConfig()

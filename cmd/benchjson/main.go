@@ -13,14 +13,11 @@
 // printing the per-benchmark ns/op speedup (or slowdown) for every name
 // present in both files — GOMAXPROCS name suffixes are normalized away so
 // artifacts from different machines line up — and exiting non-zero when
-// any benchmark regressed by more than the threshold (default 10%). Both
-// the current {meta, benchmarks} document and the legacy bare-array
-// format load transparently.
+// any benchmark regressed by more than the threshold (default 10%).
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -180,24 +177,14 @@ func parseLine(line string) (record, bool) {
 	return r, ok
 }
 
-// loadArtifact reads a recorded benchmark artifact, accepting both the
-// current {meta, benchmarks} document and the legacy bare-array format
-// (pre-meta BENCH_*.json files start with '[').
+// loadArtifact reads a recorded {meta, benchmarks} benchmark artifact.
 func loadArtifact(path string) (document, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return document{}, err
 	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var recs []record
-		if err := json.Unmarshal(trimmed, &recs); err != nil {
-			return document{}, fmt.Errorf("benchjson: %s: %w", path, err)
-		}
-		return document{Benchmarks: recs}, nil
-	}
 	var doc document
-	if err := json.Unmarshal(trimmed, &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return document{}, fmt.Errorf("benchjson: %s: %w", path, err)
 	}
 	return doc, nil

@@ -117,15 +117,16 @@ func TestNormalizeName(t *testing.T) {
 	}
 }
 
-// TestCompareSpeedupAndLegacy drives -compare with a legacy bare-array old
-// artifact against a current-format new one captured at different
-// GOMAXPROCS, checking the speedup report and exit status.
+// TestCompareSpeedupAndLegacy drives -compare with two artifacts captured
+// at different GOMAXPROCS, the old one carrying only the gomaxprocs field
+// of its meta block (as the oldest committed artifact does), checking the
+// speedup report and exit status.
 func TestCompareSpeedupAndLegacy(t *testing.T) {
 	dir := t.TempDir()
-	writeFile(t, dir+"/old.json", `[
+	writeFile(t, dir+"/old.json", `{"meta":{"gomaxprocs":8},"benchmarks":[
  {"name":"BenchmarkVote-8","iterations":100,"ns_per_op":6000},
  {"name":"BenchmarkOldOnly-8","iterations":100,"ns_per_op":50}
-]`)
+]}`)
 	writeFile(t, dir+"/new.json", `{"meta":{"go_version":"go1.24.0"},"benchmarks":[
  {"name":"BenchmarkVote-16","iterations":100,"ns_per_op":1000},
  {"name":"BenchmarkNewOnly-16","iterations":100,"ns_per_op":70}
@@ -144,14 +145,14 @@ func TestCompareSpeedupAndLegacy(t *testing.T) {
 
 func TestCompareFlagsRegressions(t *testing.T) {
 	dir := t.TempDir()
-	writeFile(t, dir+"/old.json", `[
+	writeFile(t, dir+"/old.json", `{"benchmarks":[
  {"name":"BenchmarkA-8","iterations":100,"ns_per_op":1000},
  {"name":"BenchmarkB-8","iterations":100,"ns_per_op":1000}
-]`)
-	writeFile(t, dir+"/new.json", `[
+]}`)
+	writeFile(t, dir+"/new.json", `{"benchmarks":[
  {"name":"BenchmarkA-8","iterations":100,"ns_per_op":1050},
  {"name":"BenchmarkB-8","iterations":100,"ns_per_op":1500}
-]`)
+]}`)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-compare", dir + "/old.json", dir + "/new.json"}, strings.NewReader(""), &out)
 	if err == nil {
@@ -173,8 +174,8 @@ func TestCompareFlagsRegressions(t *testing.T) {
 
 func TestCompareNoOverlap(t *testing.T) {
 	dir := t.TempDir()
-	writeFile(t, dir+"/old.json", `[{"name":"BenchmarkA-8","iterations":1,"ns_per_op":10}]`)
-	writeFile(t, dir+"/new.json", `[{"name":"BenchmarkZ-8","iterations":1,"ns_per_op":10}]`)
+	writeFile(t, dir+"/old.json", `{"benchmarks":[{"name":"BenchmarkA-8","iterations":1,"ns_per_op":10}]}`)
+	writeFile(t, dir+"/new.json", `{"benchmarks":[{"name":"BenchmarkZ-8","iterations":1,"ns_per_op":10}]}`)
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-compare", dir + "/old.json", dir + "/new.json"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("disjoint artifacts compared successfully")

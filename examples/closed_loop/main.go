@@ -33,6 +33,7 @@ func main() {
 		}
 
 		// One "baseline" of 256 series at the current true rate.
+		sc := spaceproc.NewVoteScratch()
 		var stats spaceproc.VoteStats
 		var psiSum float64
 		const series = 256
@@ -46,7 +47,7 @@ func main() {
 			}
 			damaged := ideal.Clone()
 			spaceproc.Uncorrelated{Gamma0: gamma0}.InjectSeries(damaged, spaceproc.NewRNGStream(20, stream))
-			pre.ProcessSeriesStats(damaged, &stats)
+			pre.ProcessSeriesScratch(damaged, sc, &stats)
 			psiSum += spaceproc.SeriesError(damaged, ideal)
 		}
 

@@ -152,18 +152,19 @@ func (w *AdaptiveWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileR
 		w.lambdaGauge.Set(float64(lambda))
 		w.tilesSeen.Inc()
 	}
+	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
 	if lambda > 0 {
 		pre, err := core.NewAlgoNGST(core.NGSTConfig{Upsilon: w.cfg.Upsilon, Sensitivity: lambda})
 		if err != nil {
 			return TileResult{}, err
 		}
-		if err := processStackCtx(ctx, pre, t.Stack); err != nil {
+		if err := preprocess(ctx, pre, t.Stack, 1, &res.PreStats); err != nil {
 			return TileResult{}, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return TileResult{}, err
 	}
-	img, stats := w.rej.Integrate(t.Stack)
-	return TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0, Image: img, Stats: stats}, nil
+	res.Image, res.Stats = w.rej.Integrate(t.Stack)
+	return res, nil
 }

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"spaceproc/internal/core"
 	"spaceproc/internal/crreject"
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/fault"
 	"spaceproc/internal/rng"
 	"spaceproc/internal/synth"
 )
@@ -109,6 +112,62 @@ func TestAdaptiveWorkerInPipeline(t *testing.T) {
 	}
 	if res.Image.Width != 64 {
 		t.Fatal("pipeline output malformed")
+	}
+}
+
+// TestAdaptiveWorkerReportsPreStats checks that the adaptive worker runs
+// the same stack kernel as a LocalWorker and reports what it corrected: on
+// a fault-injected stack every tile's PreStats must be nonzero and equal
+// those of a LocalWorker running AlgoNGST at the sensitivity the adaptive
+// worker picked, with bit-identical pixels.
+func TestAdaptiveWorkerReportsPreStats(t *testing.T) {
+	observed := testScene(t, 13).Observed
+	fault.Uncorrelated{Gamma0: 0.01}.InjectStack(observed, rng.New(14))
+	tiles, err := dataset.Fragment(observed, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultAdaptiveConfig(testModel())
+	cfg.Budget = 13000 * 32 * 32 // fits Lambda 80, not 100
+	aw, err := NewAdaptive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := core.NewAlgoNGST(core.NGSTConfig{Upsilon: cfg.Upsilon, Sensitivity: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := NewLocalWorker(pre, cfg.Rejection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tile := range tiles {
+		gotTile, wantTile := cloneTile(tile), cloneTile(tile)
+		got, err := aw.ProcessTile(context.Background(), gotTile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aw.LastLambda() != 80 {
+			t.Fatalf("tile %d: adaptive worker picked Lambda %d, want 80", tile.Index, aw.LastLambda())
+		}
+		want, err := lw.ProcessTile(context.Background(), wantTile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PreStats.Series == 0 || got.PreStats.Corrected == 0 {
+			t.Fatalf("tile %d: adaptive PreStats %+v report no preprocessing", tile.Index, got.PreStats)
+		}
+		if got.PreStats != want.PreStats {
+			t.Fatalf("tile %d: adaptive PreStats %+v, LocalWorker %+v", tile.Index, got.PreStats, want.PreStats)
+		}
+		for f := range wantTile.Stack.Frames {
+			if !slices.Equal(gotTile.Stack.Frames[f].Pix, wantTile.Stack.Frames[f].Pix) {
+				t.Fatalf("tile %d frame %d: adaptive and LocalWorker preprocessing differ", tile.Index, f)
+			}
+		}
+		if !slices.Equal(got.Image.Pix, want.Image.Pix) || got.Stats != want.Stats {
+			t.Fatalf("tile %d: adaptive and LocalWorker integrations differ", tile.Index)
+		}
 	}
 }
 

@@ -30,9 +30,8 @@ type CampaignShard struct {
 }
 
 // CampaignRunner is the optional worker capability for fault-campaign
-// enumeration, mirroring how PlaneCapable gates the plane-major kernels:
-// workers that implement it run campaign shards locally; the pool runs
-// the shards of any that do not on the master instead.
+// enumeration: workers that implement it run campaign shards locally; the
+// pool runs the shards of any that do not on the master instead.
 type CampaignRunner interface {
 	RunCampaignShard(ctx context.Context, s CampaignShard) (fault.FlipSet, error)
 }

@@ -47,14 +47,8 @@ type TileResult struct {
 	// Stats carries the tile's rejection statistics.
 	Stats crreject.Stats
 	// PreStats carries the preprocessing telemetry when the worker's
-	// preprocessor supports collection (AlgoNGST does).
+	// preprocessor collects it (AlgoNGST does).
 	PreStats core.VoteStats
-}
-
-// statsPreprocessor is implemented by preprocessors that can report what
-// they corrected (AlgoNGST's ProcessSeriesStats).
-type statsPreprocessor interface {
-	ProcessSeriesStats(s dataset.Series, stats *core.VoteStats)
 }
 
 // Worker processes one tile.
@@ -70,21 +64,14 @@ type Worker interface {
 // preprocessing over every coordinate's temporal series, then cosmic-ray
 // rejection and integration.
 //
-// Preprocessors that implement core.ScratchPreprocessor (AlgoNGST and the
-// generic baselines all do) run through pooled per-shard scratch buffers,
-// so the steady-state per-series path performs zero heap allocations; see
-// WithShards for the intra-worker range parallelism the pooling enables.
-// When the preprocessor also implements core.PlanePreprocessor and the
-// stack depth qualifies, each shard runs the plane-major stack kernel
-// over its pixel range instead of per-series scalar passes.
+// Preprocessing runs the preprocessor's ProcessStackPlanes range kernel
+// through pooled per-shard scratch buffers, so the steady-state path
+// performs zero heap allocations; see WithShards for the intra-worker
+// range parallelism the pooling enables.
 type LocalWorker struct {
 	pre    core.SeriesPreprocessor // nil disables preprocessing
 	rej    *crreject.Rejector
 	shards int
-	// scratch pools *core.VoteScratch values: one is checked out per tile
-	// (per shard, when sharded), so a worker reuses warm buffers across
-	// every tile it processes while staying safe for concurrent callers.
-	scratch sync.Pool
 }
 
 var _ Worker = (*LocalWorker)(nil)
@@ -113,7 +100,6 @@ func NewLocalWorker(pre core.SeriesPreprocessor, rejCfg crreject.Config, opts ..
 		return nil, err
 	}
 	w := &LocalWorker{pre: pre, rej: rej, shards: 1}
-	w.scratch.New = func() any { return core.NewVoteScratch() }
 	for _, o := range opts {
 		o(w)
 	}
@@ -126,8 +112,8 @@ func NewLocalWorker(pre core.SeriesPreprocessor, rejCfg crreject.Config, opts ..
 // Shards reports the worker's resolved intra-tile parallelism.
 func (w *LocalWorker) Shards() int { return w.shards }
 
-// ProcessTile implements Worker. Cancellation is polled between row
-// passes, so an abandoned tile stops within one row's work.
+// ProcessTile implements Worker. Cancellation is polled between pixel
+// chunks, so an abandoned tile stops within one chunk's work.
 func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
 	if t.Stack == nil || t.Stack.Len() == 0 {
 		return TileResult{}, errors.New("cluster: empty tile")
@@ -136,27 +122,8 @@ func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResu
 		return TileResult{}, err
 	}
 	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
-	switch pre := w.pre.(type) {
-	case nil:
-	case core.ScratchPreprocessor:
-		if err := w.processSharded(ctx, pre, t.Stack, &res.PreStats); err != nil {
-			return TileResult{}, err
-		}
-	case statsPreprocessor:
-		width, height := t.Stack.Width(), t.Stack.Height()
-		var ser dataset.Series
-		for y := 0; y < height; y++ {
-			if err := ctx.Err(); err != nil {
-				return TileResult{}, err
-			}
-			for x := 0; x < width; x++ {
-				ser = t.Stack.SeriesAtBuf(x, y, ser)
-				pre.ProcessSeriesStats(ser, &res.PreStats)
-				t.Stack.SetSeriesAt(x, y, ser)
-			}
-		}
-	default:
-		if err := processStackCtx(ctx, w.pre, t.Stack); err != nil {
+	if w.pre != nil {
+		if err := preprocess(ctx, w.pre, t.Stack, w.shards, &res.PreStats); err != nil {
 			return TileResult{}, err
 		}
 	}
@@ -167,34 +134,29 @@ func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResu
 	return res, nil
 }
 
-// processSharded runs the allocation-free preprocessing path over the
-// stack, splitting the flattened pixel index space across the worker's
-// shards on 64-pixel word boundaries, the gather granularity of the
-// plane-major kernels — so bit-sliced words never straddle a shard seam
-// and the sharded pass stays bit-identical to the sequential one. Each
-// shard checks a warm scratch out of the pool and accumulates into its
-// own VoteStats; the shard stats merge into agg in shard order when every
-// shard is done. Series at distinct coordinates are independent and
-// shards own disjoint pixel ranges, so no synchronization beyond the
-// final join is needed.
-func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPreprocessor, s *dataset.Stack, agg *core.VoteStats) error {
+// scratchPool holds *core.VoteScratch values: one is checked out per tile
+// (per shard, when sharded), so workers reuse warm buffers across every
+// tile they process while staying safe for concurrent callers.
+var scratchPool = sync.Pool{New: func() any { return core.NewVoteScratch() }}
+
+// preprocess runs pre over the whole stack, splitting the flattened pixel
+// index space across up to shards goroutines on 64-pixel word boundaries,
+// the gather granularity of the plane-major kernels — so bit-sliced words
+// never straddle a shard seam and the sharded pass stays bit-identical to
+// the sequential one. Each shard checks a warm scratch out of the pool and
+// accumulates into its own VoteStats; the shard stats merge into agg in
+// shard order when every shard is done. Series at distinct coordinates
+// are independent and shards own disjoint pixel ranges, so no
+// synchronization beyond the final join is needed.
+func preprocess(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Stack, shards int, agg *core.VoteStats) error {
 	npix := s.Width() * s.Height()
 	if npix == 0 {
 		return nil
 	}
-	pp, _ := pre.(core.PlanePreprocessor)
-	if pp != nil && !pp.PlaneCapable(s.Len()) {
-		pp = nil
-	}
 	words := (npix + 63) / 64
-	shards := w.shards
-	if shards > words {
-		shards = words
-	}
+	shards = min(shards, words)
 	if shards <= 1 {
-		sc := w.scratch.Get().(*core.VoteScratch)
-		defer w.scratch.Put(sc)
-		return w.processRange(ctx, pre, pp, s, 0, npix, sc, agg)
+		return processRange(ctx, pre, s, 0, npix, agg)
 	}
 	wordsPer := (words + shards - 1) / shards
 	errs := make([]error, shards)
@@ -202,19 +164,14 @@ func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPrepro
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		p0 := i * wordsPer * 64
-		p1 := p0 + wordsPer*64
-		if p1 > npix {
-			p1 = npix
-		}
+		p1 := min(p0+wordsPer*64, npix)
 		if p0 >= p1 {
 			continue
 		}
 		wg.Add(1)
 		go func(i, p0, p1 int) {
 			defer wg.Done()
-			sc := w.scratch.Get().(*core.VoteScratch)
-			defer w.scratch.Put(sc)
-			errs[i] = w.processRange(ctx, pre, pp, s, p0, p1, sc, &stats[i])
+			errs[i] = processRange(ctx, pre, s, p0, p1, &stats[i])
 		}(i, p0, p1)
 	}
 	wg.Wait()
@@ -230,58 +187,18 @@ func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPrepro
 // promptly without a ctx check on every pixel.
 const rangeChunk = 4096
 
-// processRange repairs the flattened coordinate range [p0, p1) of s,
-// through the plane-major stack kernel when pp is non-nil and through
-// per-series scratch passes otherwise. Both paths write only pixels
-// inside the range, so disjoint ranges run concurrently.
-func (w *LocalWorker) processRange(ctx context.Context, pre core.ScratchPreprocessor, pp core.PlanePreprocessor, s *dataset.Stack, p0, p1 int, sc *core.VoteScratch, stats *core.VoteStats) error {
-	width := s.Width()
-	var ser dataset.Series
+// processRange repairs the flattened coordinate range [p0, p1) of s with
+// one ProcessStackPlanes call per chunk, through a scratch checked out of
+// the pool. The kernel writes only pixels inside the range, so disjoint
+// ranges run concurrently.
+func processRange(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Stack, p0, p1 int, stats *core.VoteStats) error {
+	sc := scratchPool.Get().(*core.VoteScratch)
+	defer scratchPool.Put(sc)
 	for q0 := p0; q0 < p1; q0 += rangeChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		q1 := q0 + rangeChunk
-		if q1 > p1 {
-			q1 = p1
-		}
-		if pp != nil {
-			pp.ProcessStackPlanes(s, q0, q1, sc, stats)
-			continue
-		}
-		for i := q0; i < q1; i++ {
-			x, y := i%width, i/width
-			ser = s.SeriesAtBuf(x, y, ser)
-			pre.ProcessSeriesScratch(ser, sc, stats)
-			s.SetSeriesAt(x, y, ser)
-		}
-	}
-	return nil
-}
-
-// processStackCtx is core.ProcessStackWith with per-row cancellation,
-// preferring the scratch path when the preprocessor supports it.
-func processStackCtx(ctx context.Context, p core.SeriesPreprocessor, s *dataset.Stack) error {
-	w, h := s.Width(), s.Height()
-	sp, _ := p.(core.ScratchPreprocessor)
-	var sc *core.VoteScratch
-	if sp != nil {
-		sc = core.NewVoteScratch()
-	}
-	var ser dataset.Series
-	for y := 0; y < h; y++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for x := 0; x < w; x++ {
-			ser = s.SeriesAtBuf(x, y, ser)
-			if sp != nil {
-				sp.ProcessSeriesScratch(ser, sc, nil)
-			} else {
-				p.ProcessSeries(ser)
-			}
-			s.SetSeriesAt(x, y, ser)
-		}
+		pre.ProcessStackPlanes(s, q0, min(q0+rangeChunk, p1), sc, stats)
 	}
 	return nil
 }

@@ -104,7 +104,7 @@ func TestRunSpansEndOnCancelledRun(t *testing.T) {
 // one-goroutine worker.
 func TestLocalWorkerShardsMatchSequential(t *testing.T) {
 	// Force a multi-shard configuration even on single-CPU machines so the
-	// parallel branch of processSharded actually runs (and runs under the
+	// parallel branch of preprocess actually runs (and runs under the
 	// race detector).
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -176,8 +176,8 @@ func TestWithShardsClamped(t *testing.T) {
 // TestLocalWorkerPlaneShardsMatchScalar is the plane-times-shard
 // composition gate: the word-aligned sharded plane-major path must
 // reproduce the sequential scalar per-series pass bit for bit for every
-// plane-capable preprocessor, including shard counts that split the word
-// range unevenly.
+// series preprocessor, including shard counts that split the word range
+// unevenly.
 func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -194,7 +194,7 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 	}
 	cases := []struct {
 		name          string
-		scalar, plane core.ScratchPreprocessor
+		scalar, plane core.SeriesPreprocessor
 	}{
 		{"ngst", ngstScalar, ngstPlane},
 		{"median3", core.Median3{}, core.Median3{}},
@@ -211,7 +211,7 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 			}
 			got := scene.Observed.Clone()
 			var gotStats core.VoteStats
-			if err := w.processSharded(context.Background(), tc.plane, got, &gotStats); err != nil {
+			if err := preprocess(context.Background(), tc.plane, got, w.Shards(), &gotStats); err != nil {
 				t.Fatal(err)
 			}
 			want := scene.Observed.Clone()
@@ -220,7 +220,11 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 			for y := 0; y < want.Height(); y++ {
 				for x := 0; x < want.Width(); x++ {
 					ser = want.SeriesAtBuf(x, y, ser)
-					tc.scalar.ProcessSeriesScratch(ser, nil, &wantStats)
+					if a, ok := tc.scalar.(*core.AlgoNGST); ok {
+						a.ProcessSeriesScratch(ser, nil, &wantStats)
+					} else {
+						tc.scalar.ProcessSeries(ser)
+					}
 					want.SetSeriesAt(x, y, ser)
 				}
 			}

@@ -173,7 +173,7 @@ func TestProcessStackWithAppliesPerCoordinate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ProcessStack(st)
+	ProcessStackWith(a, st)
 	if got, want := st.Frames[7].At(3, 4), ideal.Frames[7].At(3, 4); got != want {
 		t.Fatalf("stack flip not repaired: %d != %d", got, want)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	mbits "math/bits"
 	"slices"
 
 	"spaceproc/internal/bitutil"
@@ -66,8 +65,10 @@ type OTISConfig struct {
 	TrendGuard bool
 	// Locality selects spatial (default, recommended) or spectral voting.
 	Locality OTISLocality
-	// ScalarOnly pins the voter passes to the scalar kernels, disabling
-	// the plane-major bit-sliced paths (see NGSTConfig.ScalarOnly).
+	// ScalarOnly pins the spectral vote to the scalar temporal kernel,
+	// disabling its plane-major bit-sliced path (see
+	// NGSTConfig.ScalarOnly). The spatial vote has only the scalar tile
+	// kernel, so it is unaffected.
 	ScalarOnly bool
 }
 
@@ -196,32 +197,23 @@ type CubeScratch struct {
 	// vote is the temporal voter scratch of the spectral-locality path
 	// (also supplies the threshold sort buffer for the spatial path).
 	vote VoteScratch
-	// laneL/R/U/D are the spatial tile kernel's per-voter-set lane blocks
-	// (transposed in place to bit planes); cpl its correction planes.
-	laneL, laneR, laneU, laneD [64]uint64
-	cpl                        [32]uint64
 }
 
 // NewCubeScratch returns an empty scratch, for callers outside the
 // package.
 func NewCubeScratch() *CubeScratch { return new(CubeScratch) }
 
-// ProcessCube implements CubePreprocessor.
+// ProcessCube implements CubePreprocessor. It allocates a fresh scratch
+// per cube (reused across the cube's bands); repeated passes should hold a
+// CubeScratch and call ProcessCubeScratch.
 func (a *AlgoOTIS) ProcessCube(c *dataset.Cube) {
-	a.ProcessCubeStats(c, nil)
+	a.ProcessCubeScratch(c, nil, nil)
 }
 
-// ProcessCubeStats is ProcessCube with observability; stats may be nil.
-// The caller owns stats, keeping the algorithm value safe for concurrent
-// use. It allocates a fresh scratch per cube (reused across the cube's
-// bands); repeated passes should hold a CubeScratch and call
-// ProcessCubeScratch.
-func (a *AlgoOTIS) ProcessCubeStats(c *dataset.Cube, stats *CubeStats) {
-	a.ProcessCubeScratch(c, nil, stats)
-}
-
-// ProcessCubeScratch is ProcessCubeStats against caller-owned scratch.
-// sc may be nil (a fresh scratch is used).
+// ProcessCubeScratch is ProcessCube against caller-owned scratch, with
+// observability. sc may be nil (a fresh scratch is used); stats, when
+// non-nil, accumulates the pass's counters. The caller owns stats,
+// keeping the algorithm value safe for concurrent use.
 func (a *AlgoOTIS) ProcessCubeScratch(c *dataset.Cube, sc *CubeScratch, stats *CubeStats) {
 	if sc == nil {
 		sc = new(CubeScratch)
@@ -440,12 +432,7 @@ func (a *AlgoOTIS) votePlane(plane []float32, w, h int, lo, hi float64, sc *Cube
 			vvalV := wayThresholdBuf(scratch, a.cfg.Sensitivity, PruneIndex, &sc.vote)
 			vvalsBuf := [2]uint32{vvalH, vvalV}
 			lsbMask, msbMask := windowMasks(vvalsBuf[:], 32)
-
-			if a.cfg.ScalarOnly || !planeWorthIt((x1-tx)*(y1-ty), 32) {
-				a.voteTileScalar(&sv, tx, ty, x1, y1, vvalH, vvalV, lsbMask, msbMask)
-			} else {
-				a.voteTilePlanes(&sv, sc, tx, ty, x1, y1, vvalH, vvalV, lsbMask, msbMask)
-			}
+			a.voteTileScalar(&sv, tx, ty, x1, y1, vvalH, vvalV, lsbMask, msbMask)
 		}
 	}
 	sc.blockBuf = scratch[:0]
@@ -454,8 +441,8 @@ func (a *AlgoOTIS) votePlane(plane []float32, w, h int, lo, hi float64, sc *Cube
 	}
 }
 
-// spatialVote bundles one band plane's spatial voter state, shared by the
-// scalar and plane-major tile kernels.
+// spatialVote bundles one band plane's spatial voter state for the tile
+// kernel and its candidate finalization.
 type spatialVote struct {
 	plane     []float32
 	bits, out []uint32
@@ -467,8 +454,10 @@ type spatialVote struct {
 	stats     *CubeStats
 }
 
-// voteTileScalar is the scalar spatial vote over one threshold tile — the
-// plane kernel's differential oracle.
+// voteTileScalar is the spatial vote over one threshold tile. A plane-major
+// variant (tile pixels as lanes, the four voter sets transposed to bit
+// planes) measured slower than this loop on every OTIS geometry, so the
+// scalar kernel is the only one.
 func (a *AlgoOTIS) voteTileScalar(sv *spatialVote, tx, ty, x1, y1 int, vvalH, vvalV, lsbMask, msbMask uint32) {
 	w, h := sv.w, sv.h
 	var phisBuf [4]uint32
@@ -502,110 +491,9 @@ func (a *AlgoOTIS) voteTileScalar(sv *spatialVote, tx, ty, x1, y1 int, vvalH, vv
 	}
 }
 
-// voteTilePlanes is the plane-major spatial vote: the tile's pixels are
-// the lanes (row-major, up to 8x8 = 64), each pixel's four neighbor XOR
-// voters gathered into lane blocks and transposed to bit planes, so the
-// unanimity and leave-one-out votes of the whole tile run 32 word
-// operations instead of per-pixel value loops. Bit-identical to
-// voteTileScalar (differentially fuzzed); candidate corrections — the
-// rare case — finalize through the same applySpatial.
-func (a *AlgoOTIS) voteTilePlanes(sv *spatialVote, sc *CubeScratch, tx, ty, x1, y1 int, vvalH, vvalV, lsbMask, msbMask uint32) {
-	w, h := sv.w, sv.h
-	bw := x1 - tx
-	L := bw * (y1 - ty)
-	lanesL, lanesR, lanesU, lanesD := &sc.laneL, &sc.laneR, &sc.laneU, &sc.laneD
-	var presL, presR, presU, presD uint64
-	w1 := w - 1
-	for l := 0; l < L; l++ {
-		x, y := tx+l%bw, ty+l/bw
-		var vL, vR, vU, vD uint64
-		if x > 0 {
-			presL |= 1 << uint(l)
-			vL = uint64(sv.hx[y*w1+x-1])
-		}
-		if x < w1 {
-			presR |= 1 << uint(l)
-			vR = uint64(sv.hx[y*w1+x])
-		}
-		if y > 0 {
-			presU |= 1 << uint(l)
-			vU = uint64(sv.vx[(y-1)*w+x])
-		}
-		if y < h-1 {
-			presD |= 1 << uint(l)
-			vD = uint64(sv.vx[y*w+x])
-		}
-		lanesL[l], lanesR[l], lanesU[l], lanesD[l] = vL, vR, vU, vD
-	}
-	for l := L; l < 64; l++ {
-		lanesL[l], lanesR[l], lanesU[l], lanesD[l] = 0, 0, 0, 0
-	}
-	bitutil.TransposeBlock64x32(lanesL, 32)
-	bitutil.TransposeBlock64x32(lanesR, 32)
-	bitutil.TransposeBlock64x32(lanesU, 32)
-	bitutil.TransposeBlock64x32(lanesD, 32)
-	prunePlanes(lanesL[:32], vvalH, presL)
-	prunePlanes(lanesR[:32], vvalH, presR)
-	prunePlanes(lanesU[:32], vvalV, presU)
-	prunePlanes(lanesD[:32], vvalV, presD)
-
-	// With w,h >= 3 (guarded by votePlane) every pixel has at least two
-	// in-plane neighbors, so every tile lane is vote-eligible.
-	eligible := bitutil.LaneMask(L)
-	cpl := &sc.cpl
-	var anyC uint64
-	for b := 0; b < 32; b++ {
-		cpl[b] = 0
-		if lsbMask>>uint(b)&1 == 0 {
-			continue
-		}
-		vw := [4]uint64{lanesL[b], lanesR[b], lanesU[b], lanesD[b]}
-		c := bitutil.VoteWords(vw[:])
-		if msbMask>>uint(b)&1 == 1 {
-			c |= bitutil.LeaveOneOutANDWords(vw[:])
-		}
-		c &= eligible
-		cpl[b] = c
-		anyC |= c
-	}
-	for m := anyC; m != 0; m &= m - 1 {
-		l := mbits.TrailingZeros64(m)
-		corr := bitutil.LaneValue(cpl[:32], l)
-		a.applySpatial(sv, tx+l%bw, ty+l/bw, corr)
-	}
-}
-
-// prunePlanes zeroes, across all lanes at once, voters whose XOR value
-// does not exceed the way cut-off (the plane form of pruned), then
-// substitutes absent lanes with all-ones so absence never vetoes a vote.
-// vval is a power of two, or 0 when the scalar CeilPow2 overflowed — in
-// which case only exact-zero voters prune away.
-func prunePlanes(planes []uint64, vval uint32, present uint64) {
-	var keep uint64
-	if vval == 0 {
-		for _, p := range planes {
-			keep |= p
-		}
-	} else {
-		k := bitutil.BitIndex(vval)
-		var hi, lo uint64
-		for b := k + 1; b < len(planes); b++ {
-			hi |= planes[b]
-		}
-		for b := 0; b < k; b++ {
-			lo |= planes[b]
-		}
-		keep = hi | planes[k]&lo
-	}
-	sub := ^present
-	for b := range planes {
-		planes[b] = planes[b]&keep | sub
-	}
-}
-
 // applySpatial finalizes one candidate correction: the Section 7.2
 // natural-trend guard, physical-bounds fallback and value-space
-// acceptance, identical for the scalar and plane tile kernels.
+// acceptance.
 func (a *AlgoOTIS) applySpatial(sv *spatialVote, x, y int, corr uint32) {
 	w, h := sv.w, sv.h
 	i := y*w + x

@@ -14,23 +14,6 @@ import (
 // The scalar pass in engine.go is the oracle; the differential tests and
 // fuzz targets in planes_test.go assert the two are bit-identical.
 
-// PlanePreprocessor is implemented by preprocessors that can run a
-// plane-major pass over a flattened pixel range of a stack. The cluster
-// workers and ProcessStackWith prefer this path when the stack geometry
-// permits (PlaneCapable) and fall back to the scalar per-series loop
-// otherwise.
-type PlanePreprocessor interface {
-	ScratchPreprocessor
-	// PlaneCapable reports whether the plane-major path handles stacks of
-	// the given depth (readout count).
-	PlaneCapable(depth int) bool
-	// ProcessStackPlanes repairs the flattened coordinate range [p0, p1)
-	// of s in place. It reads and writes only pixels inside the range, so
-	// disjoint ranges may be processed concurrently on a shared stack. sc
-	// may be nil; stats, when non-nil, accumulates the pass's counters.
-	ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats)
-}
-
 // grow64 is growU32 for uint64 plane buffers.
 func grow64(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
@@ -286,48 +269,34 @@ func correctTemporalAuto(sc *VoteScratch, vals []uint32, upsilon, lambda, width 
 	return correctTemporalScratch(sc, vals, upsilon, lambda, width, opt)
 }
 
-// PlaneCapable implements PlanePreprocessor: the plane path serves any
-// depth the 64-lane transpose holds and the cost model favors at the
-// voter's 16-bit width (see planeWorthIt), unless the configuration
-// pins the scalar path or disables the pass outright.
-func (a *AlgoNGST) PlaneCapable(depth int) bool {
-	return !a.cfg.ScalarOnly && a.cfg.Sensitivity > 0 && planeWorthIt(depth, 16)
-}
-
-// ProcessStackPlanes implements PlanePreprocessor: the voter pass over the
-// flattened coordinate range [p0, p1) of s, streamed 64 pixels at a time
-// through a scratch-held plane-major window. Candidate corrections (the
-// rare case) are finalized against the scalar series read straight from
-// the frames; votes are computed against the original planes, so
+// ProcessStackPlanes implements SeriesPreprocessor: the voter pass over
+// the flattened coordinate range [p0, p1) of s, streamed 64 pixels at a
+// time through a scratch-held plane-major window. Candidate corrections
+// (the rare case) are finalized against the scalar series read straight
+// from the frames; votes are computed against the original planes, so
 // corrections do not cascade, and the gathered window is never scattered
-// back — corrections XOR directly into the frames.
+// back — corrections XOR directly into the frames. Depths the 64-lane
+// transpose cannot hold or the cost model disfavors at the voter's 16-bit
+// width (see planeWorthIt), and a ScalarOnly configuration, take the
+// per-series scalar pass instead.
 func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
-	if a.cfg.Sensitivity == 0 {
+	p0, p1 = clampRange(s, p0, p1)
+	if a.cfg.Sensitivity == 0 || p0 >= p1 {
 		return
 	}
 	if sc == nil {
 		sc = new(VoteScratch)
 	}
 	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if p0 >= p1 {
-		return
-	}
-	if !a.PlaneCapable(n) {
-		processStackRangeScalar(a, s, p0, p1, sc, stats)
+	if a.cfg.ScalarOnly || !planeWorthIt(n, 16) {
+		a.processRangeScalar(s, p0, p1, sc, stats)
 		return
 	}
 	const block = 64
 	if sc.ps == nil || sc.ps.Depth != n {
 		ps, err := dataset.NewPlaneStack(n, 16, block)
 		if err != nil {
-			processStackRangeScalar(a, s, p0, p1, sc, stats)
+			a.processRangeScalar(s, p0, p1, sc, stats)
 			return
 		}
 		sc.ps = ps
@@ -341,10 +310,7 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 		sc.neigh = make([]uint32, 0, a.cfg.Upsilon)
 	}
 	for base := p0; base < p1; base += block {
-		cnt := p1 - base
-		if cnt > block {
-			cnt = block
-		}
+		cnt := min(p1-base, block)
 		ps.Gather(s, base, cnt)
 		for i := 0; i < cnt; i++ {
 			collect := stats
@@ -376,121 +342,16 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 	}
 }
 
-// processStackRangeScalar runs p's scalar series pass over the flattened
-// coordinate range [p0, p1) of s — the fallback when the plane path
-// cannot serve the geometry, and the per-range form the cluster shards
-// use for non-plane preprocessors.
-func processStackRangeScalar(p ScratchPreprocessor, s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// processRangeScalar runs the per-series scalar pass over the flattened
+// coordinate range [p0, p1) of s: the ScalarOnly oracle, and the path for
+// depths the plane kernel does not serve.
+func (a *AlgoNGST) processRangeScalar(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	w := s.Width()
-	if w == 0 {
-		return
-	}
 	for i := p0; i < p1; i++ {
 		x, y := i%w, i/w
 		sc.rser = s.SeriesAtBuf(x, y, sc.rser)
-		p.ProcessSeriesScratch(sc.rser, sc, stats)
+		a.ProcessSeriesScratch(sc.rser, sc, stats)
 		s.SetSeriesAt(x, y, sc.rser)
-	}
-}
-
-// PlaneCapable implements PlanePreprocessor. The value win for the generic
-// filters is layout, not bit-slicing: their stack pass below runs
-// frame-major (whole rows of one frame at a time) instead of gathering a
-// strided 64-readout series per pixel.
-func (Median3) PlaneCapable(depth int) bool { return depth >= 3 }
-
-// ProcessStackPlanes implements PlanePreprocessor: the sequential in-place
-// median sweep in frame-major order. The scalar recurrence P(i) =
-// median(P(i-1) smoothed, P(i), P(i+1) raw) reads only already-final
-// values of frame i-1 and raw values of frames i and i+1, so the in-place
-// frame-by-frame sweep needs no buffers at all and is bit-identical to
-// the per-series pass.
-func (Median3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
-	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if n < 3 || p0 >= p1 {
-		return
-	}
-	f0, f1, f2 := s.Frames[0].Pix, s.Frames[1].Pix, s.Frames[2].Pix
-	for i := p0; i < p1; i++ {
-		f0[i] = median3u16(f0[i], f1[i], f2[i])
-	}
-	for t := 1; t < n-1; t++ {
-		a, b, c := s.Frames[t-1].Pix, s.Frames[t].Pix, s.Frames[t+1].Pix
-		for i := p0; i < p1; i++ {
-			b[i] = median3u16(a[i], b[i], c[i])
-		}
-	}
-	a, b, c := s.Frames[n-3].Pix, s.Frames[n-2].Pix, s.Frames[n-1].Pix
-	for i := p0; i < p1; i++ {
-		c[i] = median3u16(a[i], b[i], c[i])
-	}
-}
-
-// PlaneCapable implements PlanePreprocessor (see Median3.PlaneCapable:
-// the stack pass is the frame-major layout win).
-func (MajorityBit3) PlaneCapable(depth int) bool { return depth >= 3 }
-
-// majChunk is the pixel width of MajorityBit3's frame-major stack sweep:
-// three rotating original-value buffers of this size replace the
-// per-pixel series snapshot. 4096 pixels keeps the working set (3 x 8 KB)
-// inside L1/L2 while amortizing the frame-pointer chasing.
-const majChunk = 4096
-
-// ProcessStackPlanes implements PlanePreprocessor: the vote-against-
-// original majority sweep in frame-major order. Because frame t's output
-// consults the ORIGINAL frames t-1 and (at the reflected tail) n-3, three
-// rotating chunk buffers carry the original values of frames t-2, t-1 and
-// t; raw frames t+1 (and frame 2 at the head) are read live, before the
-// sweep reaches them. Bit-identical to the per-series snapshot pass.
-func (MajorityBit3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
-	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if n < 3 || p0 >= p1 {
-		return
-	}
-	if sc == nil {
-		sc = new(VoteScratch)
-	}
-	if cap(sc.majA) < majChunk {
-		sc.majA = make(dataset.Series, majChunk)
-		sc.majB = make(dataset.Series, majChunk)
-		sc.majC = make(dataset.Series, majChunk)
-	}
-	for base := p0; base < p1; base += majChunk {
-		cnt := p1 - base
-		if cnt > majChunk {
-			cnt = majChunk
-		}
-		prev2, prev1, cur := sc.majA[:cnt], sc.majB[:cnt], sc.majC[:cnt]
-		for t := 0; t < n; t++ {
-			out := s.Frames[t].Pix[base : base+cnt]
-			copy(cur, out)
-			left := prev1 // original frame t-1
-			if t == 0 {
-				left = s.Frames[2].Pix[base : base+cnt] // P(0) = P(3), still raw
-			}
-			right := prev2 // original frame n-3 at the tail
-			if t < n-1 {
-				right = s.Frames[t+1].Pix[base : base+cnt] // raw, not yet voted
-			}
-			for i := 0; i < cnt; i++ {
-				out[i] = bitutil.MajorityVote3(left[i], cur[i], right[i])
-			}
-			prev2, prev1, cur = prev1, cur, prev2
-		}
 	}
 }
 

@@ -151,9 +151,9 @@ func stacksEqual(t *testing.T, name string, a, b *dataset.Stack) {
 	}
 }
 
-// TestProcessStackPlanesMatchesScalar runs every plane-capable algorithm's
-// stack path against the per-series scalar oracle on the same fault-
-// injected stacks.
+// TestProcessStackPlanesMatchesScalar runs every series algorithm's stack
+// path against the per-series scalar oracle on the same fault-injected
+// stacks.
 func TestProcessStackPlanesMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	ngst, err := NewAlgoNGST(DefaultNGSTConfig())
@@ -172,7 +172,7 @@ func TestProcessStackPlanesMatchesScalar(t *testing.T) {
 		// AlgoNGST: plane stack path vs the ScalarOnly per-series loop.
 		wantS, gotS := src.Clone(), src.Clone()
 		var wantStats, gotStats VoteStats
-		processStackRangeScalar(ngstScalar, wantS, 0, geom.w*geom.h, NewVoteScratch(), &wantStats)
+		ngstScalar.ProcessStackPlanes(wantS, 0, geom.w*geom.h, NewVoteScratch(), &wantStats)
 		ngst.ProcessStackPlanes(gotS, 0, geom.w*geom.h, NewVoteScratch(), &gotStats)
 		stacksEqual(t, ngst.Name(), wantS, gotS)
 		if wantStats != gotStats {
@@ -180,9 +180,9 @@ func TestProcessStackPlanesMatchesScalar(t *testing.T) {
 		}
 
 		// Generic filters: frame-major stack path vs per-series pass.
-		for _, pre := range []PlanePreprocessor{Median3{}, MajorityBit3{}} {
+		for _, pre := range []SeriesPreprocessor{Median3{}, MajorityBit3{}} {
 			want, got := src.Clone(), src.Clone()
-			processStackRangeScalar(pre, want, 0, geom.w*geom.h, NewVoteScratch(), nil)
+			perSeries(pre, want)
 			pre.ProcessStackPlanes(got, 0, geom.w*geom.h, NewVoteScratch(), nil)
 			stacksEqual(t, pre.Name(), want, got)
 		}
@@ -198,7 +198,7 @@ func TestProcessStackPlanesRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+	for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 		src := damagedStack(rng, 32, 12, 9)
 		full := src.Clone()
 		pre.ProcessStackPlanes(full, 0, 108, nil, nil)
@@ -228,7 +228,7 @@ func TestProcessStackPlanesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+	for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 		src := damagedStack(rng, 64, 16, 8)
 		work := src.Clone()
 		sc := NewVoteScratch()
@@ -310,19 +310,19 @@ func FuzzPlaneStack(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+		for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 			want, got := src.Clone(), src.Clone()
-			processStackRangeScalar(scalarOracle(pre), want, 0, w*h, NewVoteScratch(), nil)
+			scalarOracle(pre, want)
 			pre.ProcessStackPlanes(got, 0, w*h, NewVoteScratch(), nil)
 			stacksEqual(t, pre.Name(), want, got)
 		}
 	})
 }
 
-// scalarOracle returns the scalar-path twin of a plane preprocessor: for
-// AlgoNGST a ScalarOnly copy, for the buffer-free generic filters the
-// value itself (their per-series pass is already the oracle).
-func scalarOracle(p PlanePreprocessor) ScratchPreprocessor {
+// scalarOracle runs the scalar-path twin of p over the whole stack: for
+// AlgoNGST a ScalarOnly copy (its stack pass is then the per-series scalar
+// loop), for the generic filters their own per-series pass.
+func scalarOracle(p SeriesPreprocessor, s *dataset.Stack) {
 	if a, ok := p.(*AlgoNGST); ok {
 		cfg := a.Config()
 		cfg.ScalarOnly = true
@@ -330,7 +330,20 @@ func scalarOracle(p PlanePreprocessor) ScratchPreprocessor {
 		if err != nil {
 			panic(err)
 		}
-		return o
+		o.ProcessStackPlanes(s, 0, s.Width()*s.Height(), NewVoteScratch(), nil)
+		return
 	}
-	return p
+	perSeries(p, s)
+}
+
+// perSeries runs p's ProcessSeries over every coordinate of s.
+func perSeries(p SeriesPreprocessor, s *dataset.Stack) {
+	var ser dataset.Series
+	for y := 0; y < s.Height(); y++ {
+		for x := 0; x < s.Width(); x++ {
+			ser = s.SeriesAtBuf(x, y, ser)
+			p.ProcessSeries(ser)
+			s.SetSeriesAt(x, y, ser)
+		}
+	}
 }

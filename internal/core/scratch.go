@@ -4,13 +4,14 @@ import (
 	"spaceproc/internal/dataset"
 )
 
-// VoteScratch holds every buffer the temporal voter pass needs, so a warm
-// scratch lets ProcessSeriesScratch run with zero steady-state heap
-// allocations. One scratch serves any series length and any Upsilon: the
-// buffers grow to the largest series seen and are reused thereafter.
+// VoteScratch holds every buffer the voter passes need, so a warm scratch
+// lets ProcessStackPlanes (and AlgoNGST's per-series ProcessSeriesScratch)
+// run with zero steady-state heap allocations. One scratch serves any
+// series length and any Upsilon: the buffers grow to the largest series
+// seen and are reused thereafter.
 //
 // A VoteScratch is NOT safe for concurrent use; give each goroutine its
-// own (cluster.LocalWorker keeps a pool and hands one to each row shard).
+// own (the cluster workers keep a pool and hand one to each range shard).
 // The zero value is ready to use.
 type VoteScratch struct {
 	// vals is the series widened to the voter's uint32 payload.
@@ -59,7 +60,7 @@ type VoteScratch struct {
 	planeLSB, planeMSB uint32
 	// ps is the 64-pixel plane-major gather window of the stack path.
 	ps *dataset.PlaneStack
-	// rser is the series buffer of the scalar range fallback.
+	// rser is the series buffer of AlgoNGST's scalar range pass.
 	rser dataset.Series
 	// majA/majB/majC are MajorityBit3's rotating original-frame chunks.
 	majA, majB, majC dataset.Series
@@ -89,17 +90,4 @@ func growF64(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ScratchPreprocessor is implemented by series preprocessors whose pass
-// can run against caller-owned scratch, allocation-free once the scratch
-// is warm. AlgoNGST, Median3 and MajorityBit3 all implement it; the
-// cluster workers prefer this path and fall back to ProcessSeries for
-// preprocessors that do not.
-type ScratchPreprocessor interface {
-	SeriesPreprocessor
-	// ProcessSeriesScratch repairs s in place using sc's buffers. sc may
-	// be nil (a fresh scratch is used, reintroducing the allocations);
-	// stats, when non-nil, accumulates the pass's counters.
-	ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats *VoteStats)
 }

@@ -23,31 +23,47 @@ func damagedSeries(rng *rand.Rand, n int) dataset.Series {
 	return s
 }
 
+// seriesPass is one algorithm's allocation-free per-series pass.
+type seriesPass struct {
+	name string
+	pass func(s dataset.Series, sc *VoteScratch, stats *VoteStats)
+}
+
+// scratchPasses lists the per-series scratch pass of every series
+// algorithm: AlgoNGST's and MajorityBit3's ProcessSeriesScratch, and
+// Median3's buffer-free ProcessSeries.
+func scratchPasses(ngst *AlgoNGST) []seriesPass {
+	return []seriesPass{
+		{ngst.Name(), ngst.ProcessSeriesScratch},
+		{Median3{}.Name(), func(s dataset.Series, _ *VoteScratch, _ *VoteStats) { Median3{}.ProcessSeries(s) }},
+		{MajorityBit3{}.Name(), MajorityBit3{}.ProcessSeriesScratch},
+	}
+}
+
 // TestProcessSeriesScratchZeroAlloc is the tentpole's regression gate: the
-// steady-state per-series pass of every ScratchPreprocessor must not touch
+// steady-state per-series pass of every series algorithm must not touch
 // the heap once its scratch is warm.
 func TestProcessSeriesScratchZeroAlloc(t *testing.T) {
 	ngst, err := NewAlgoNGST(DefaultNGSTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres := []ScratchPreprocessor{ngst, Median3{}, MajorityBit3{}}
 	rng := rand.New(rand.NewSource(7))
 	damaged := damagedSeries(rng, 64)
-	for _, pre := range pres {
-		t.Run(pre.Name(), func(t *testing.T) {
+	for _, pre := range scratchPasses(ngst) {
+		t.Run(pre.name, func(t *testing.T) {
 			sc := NewVoteScratch()
 			ser := damaged.Clone()
 			var stats VoteStats
 			// Warm the scratch (first pass sizes every buffer).
-			pre.ProcessSeriesScratch(ser, sc, &stats)
+			pre.pass(ser, sc, &stats)
 			allocs := testing.AllocsPerRun(100, func() {
 				copy(ser, damaged)
-				pre.ProcessSeriesScratch(ser, sc, &stats)
+				pre.pass(ser, sc, &stats)
 			})
 			if allocs != 0 {
 				t.Fatalf("%s: ProcessSeriesScratch allocates %.1f objects per series with a warm scratch, want 0",
-					pre.Name(), allocs)
+					pre.name, allocs)
 			}
 		})
 	}
@@ -86,21 +102,22 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres := []ScratchPreprocessor{ngst, Median3{}, MajorityBit3{}}
+	pres := []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}}
+	passes := scratchPasses(ngst)
 	sc := NewVoteScratch()
 	for trial := 0; trial < 200; trial++ {
 		n := 8 + rng.Intn(120)
 		damaged := damagedSeries(rng, n)
-		for _, pre := range pres {
+		for k, pre := range pres {
 			viaAlloc := damaged.Clone()
 			viaScratch := damaged.Clone()
 			var statsAlloc, statsScratch VoteStats
 			if a, ok := pre.(*AlgoNGST); ok {
-				a.ProcessSeriesStats(viaAlloc, &statsAlloc)
+				a.ProcessSeriesScratch(viaAlloc, nil, &statsAlloc)
 			} else {
 				pre.ProcessSeries(viaAlloc)
 			}
-			pre.ProcessSeriesScratch(viaScratch, sc, &statsScratch)
+			passes[k].pass(viaScratch, sc, &statsScratch)
 			for i := range viaAlloc {
 				if viaAlloc[i] != viaScratch[i] {
 					t.Fatalf("trial %d %s: pixel %d diverges: allocating=%04x scratch=%04x",
@@ -138,7 +155,7 @@ func TestCubeScratchMatchesAllocatingPath(t *testing.T) {
 		}
 		viaAlloc, viaScratch := c.Clone(), c.Clone()
 		var statsAlloc, statsScratch CubeStats
-		a.ProcessCubeStats(viaAlloc, &statsAlloc)
+		a.ProcessCubeScratch(viaAlloc, nil, &statsAlloc)
 		sc := NewCubeScratch()
 		a.ProcessCubeScratch(viaScratch, sc, &statsScratch)
 		// And again through the now-warm scratch, to catch stale-buffer

@@ -79,7 +79,7 @@ func TestE2EServedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.ProcessStack(ref)
+	core.ProcessStackWith(pre, ref)
 	rej, err := crreject.New(crreject.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

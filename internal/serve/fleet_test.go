@@ -607,7 +607,7 @@ func TestRouterE2EBitIdenticalAcrossRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.ProcessStack(ref)
+	core.ProcessStackWith(pre, ref)
 	rej, err := crreject.New(crreject.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -284,6 +284,14 @@ func TestClientEntriesPruned(t *testing.T) {
 		if _, err := c.Process(context.Background(), stack); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
+		// The server releases the quota slot in handle's deferred function,
+		// after the response bytes are written, so the client can return
+		// first.
+		waitFor(func() bool {
+			srv.core.mu.Lock()
+			defer srv.core.mu.Unlock()
+			return len(srv.core.clients) == 0
+		})
 		srv.core.mu.Lock()
 		entries, minted := len(srv.core.clients), len(srv.core.minted)
 		srv.core.mu.Unlock()
@@ -329,6 +337,9 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 
+	// handle's deferred functions observe the latency and release the
+	// slot after the response bytes are written; release runs last.
+	waitFor(func() bool { return srv.Inflight() == 0 })
 	snap := reg.Snapshot()
 	if got := snap.Counters["serve_requests_total"]; got != 1 {
 		t.Fatalf("serve_requests_total = %d", got)

@@ -32,6 +32,16 @@ func stagesByTraceID(tr *telemetry.Tracer, id uint64) map[string][]telemetry.Tra
 	return out
 }
 
+// waitFor polls cond until it holds, giving up after a bounded wait so a
+// condition that never holds still fails the caller's assertions. Server
+// work deferred past the response write (span ends, quota release) can
+// land after the client has returned.
+func waitFor(cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestE2ETraceCrossesClientRouterDaemon(t *testing.T) {
 	// Daemon "process": a server over a real cluster.Pool so the trace
 	// bottoms out in a pool-process (run) span.
@@ -81,6 +91,14 @@ func TestE2ETraceCrossesClientRouterDaemon(t *testing.T) {
 	if rootID == 0 {
 		t.Fatal("no client_request span recorded on the client")
 	}
+
+	// Server spans end in handle's deferred function, after the response
+	// bytes are written, so the client can return before the router and
+	// daemon record serve_request and respond.
+	waitFor(func() bool {
+		r, d := stagesByTraceID(routerReg.Tracer(), rootID), stagesByTraceID(daemonReg.Tracer(), rootID)
+		return len(r[StageServeRequest]) > 0 && len(r[StageRespond]) > 0 && len(d[StageServeRequest]) > 0
+	})
 
 	clientStages := stagesByTraceID(clientReg.Tracer(), rootID)
 	routerStages := stagesByTraceID(routerReg.Tracer(), rootID)

@@ -311,11 +311,10 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			for _, n := range st.Buckets {
 				bucketTotal += n
 			}
-			// Count is incremented before the bucket write, so a
-			// mid-observation capture may run ahead of the buckets, never
-			// behind.
-			if bucketTotal > st.Count {
-				t.Fatalf("snapshot %d: bucket total %d exceeds count %d", i, bucketTotal, st.Count)
+			// State takes Count from the buckets it captured, so the two
+			// agree exactly even mid-observation.
+			if bucketTotal != st.Count {
+				t.Fatalf("snapshot %d: bucket total %d != count %d", i, bucketTotal, st.Count)
 			}
 		}
 		var b strings.Builder

@@ -110,16 +110,24 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // states of other histograms (other nodes' /metrics pages) and the merged
 // quantiles recomputed from the combined buckets — the only way to
 // aggregate percentiles across a fleet without averaging lies.
+//
+// The capture keeps Count equal to the sum of Buckets even while writers
+// race it: the buckets are loaded first and Count is taken from their
+// sum. Observe bumps its bucket last, after count, sum, min and max, so
+// every observation the buckets hold is already in Sum, Min and Max
+// (which may also include a few observations still in flight).
 func (h *Histogram) State() HistogramState {
-	s := HistogramState{Count: h.count.Load(), Sum: h.sum.Load()}
+	var s HistogramState
+	for i := range h.buckets {
+		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
+	}
 	if s.Count == 0 {
 		return HistogramState{}
 	}
+	s.Sum = h.sum.Load()
 	s.Min = time.Duration(h.min.Load())
 	s.Max = time.Duration(h.max.Load())
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
 	return s
 }
 

@@ -8,8 +8,12 @@ import (
 
 // Preprocessing algorithms (the paper's contribution; internal/core).
 type (
-	// SeriesPreprocessor repairs suspected bit flips in a temporal pixel
-	// series in place.
+	// SeriesPreprocessor repairs suspected bit flips in the temporal pixel
+	// series of a stack in place, one series (ProcessSeries) or a
+	// flattened pixel range (ProcessStackPlanes) at a time. AlgoNGST runs
+	// its range through the plane-major (bit-sliced) kernel, one uint64
+	// word voting 64 pixels at a time, whenever the stack depth qualifies;
+	// set NGSTConfig.ScalarOnly to pin the classic scalar kernel instead.
 	SeriesPreprocessor = core.SeriesPreprocessor
 	// CubePreprocessor repairs suspected bit flips in a radiance cube in
 	// place.
@@ -38,21 +42,10 @@ type (
 	// guard rejections).
 	VoteStats = core.VoteStats
 	// VoteScratch holds the reusable buffers of the allocation-free
-	// per-series preprocessing path (see ScratchPreprocessor).
+	// preprocessing passes (ProcessStackPlanes, ProcessSeriesScratch).
 	VoteScratch = core.VoteScratch
 	// CubeScratch holds the reusable buffers of a cube preprocessing pass.
 	CubeScratch = core.CubeScratch
-	// ScratchPreprocessor is a SeriesPreprocessor whose pass can run
-	// allocation-free against caller-owned scratch (AlgoNGST, Median3 and
-	// MajorityBit3 all qualify).
-	ScratchPreprocessor = core.ScratchPreprocessor
-	// PlanePreprocessor is a ScratchPreprocessor that can additionally run
-	// a plane-major (bit-sliced) pass over a flattened pixel range of a
-	// stack, one uint64 word voting 64 pixels at a time. ProcessStackWith
-	// and the cluster workers prefer this path whenever the stack depth
-	// qualifies; set NGSTConfig.ScalarOnly (or OTISConfig.ScalarOnly for
-	// cubes) to pin the classic scalar kernels instead.
-	PlanePreprocessor = core.PlanePreprocessor
 	// PlaneStack is the plane-major (bit-sliced) view of a stack window:
 	// bit b of up to 64 pixel series packs into one uint64 word per
 	// readout, the layout the plane kernels vote on.
@@ -79,9 +72,9 @@ func DefaultOTISConfig(wavelengths []float64) OTISConfig { return core.DefaultOT
 // NewAlgoOTIS validates cfg and returns the Section 7.2 algorithm.
 func NewAlgoOTIS(cfg OTISConfig) (*AlgoOTIS, error) { return core.NewAlgoOTIS(cfg) }
 
-// NewVoteScratch returns an empty scratch for the allocation-free series
-// preprocessing path (ProcessSeriesScratch). Not safe for concurrent use;
-// hold one per goroutine.
+// NewVoteScratch returns an empty scratch for the allocation-free
+// preprocessing passes (ProcessStackPlanes, ProcessSeriesScratch). Not
+// safe for concurrent use; hold one per goroutine.
 func NewVoteScratch() *VoteScratch { return core.NewVoteScratch() }
 
 // NewCubeScratch returns an empty scratch for repeated AlgoOTIS cube
@@ -89,8 +82,8 @@ func NewVoteScratch() *VoteScratch { return core.NewVoteScratch() }
 func NewCubeScratch() *CubeScratch { return core.NewCubeScratch() }
 
 // ProcessStackWith runs a series preprocessor over every coordinate of a
-// baseline stack in place, through the plane-major stack kernel when p
-// implements PlanePreprocessor and the stack depth qualifies.
+// baseline stack in place, as one ProcessStackPlanes pass over the whole
+// pixel range.
 func ProcessStackWith(p SeriesPreprocessor, s *Stack) { core.ProcessStackWith(p, s) }
 
 // NewPlaneStack allocates a plane-major block holding pixels series of
