@@ -65,7 +65,8 @@ bench-compare:
 # fuzz-smoke gives every fuzz target a short budget of fresh inputs on
 # top of the seeded corpus the normal test run replays: the plane-kernel
 # differential fuzzers, the permutation bijectivity fuzzer, the campaign
-# site enumerator, and the codec/parser fuzzers. FUZZTIME scales the
+# site enumerator, the codec/parser fuzzers, and the budgeted gob receive
+# both network ports read through. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
+	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # e2e-smoke boots the real binaries — one spaceprocd, then a 3-daemon
 # fleet behind spaceproc-router with one node killed and readmitted

@@ -49,7 +49,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	perClient := fs.Int("per-client", 0, "per-client inflight quota (0: global limit only)")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "retry hint carried by shed responses")
 	maxReqBytes := fs.Int64("max-request-bytes", 256<<20, "payload budget one request may declare")
-	recvTimeout := fs.Duration("recv-timeout", 30*time.Second, "per-frame receive deadline for admitted requests")
+	recvTimeout := fs.Duration("recv-timeout", 30*time.Second, "bound on receiving one header or payload frame once it starts arriving")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per member (0: default)")
 	ringSeed := fs.Uint64("ring-seed", 0, "consistent-hash placement seed")
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "health probe period (0 disables probing)")

@@ -42,7 +42,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	batchMax := fs.Int("batch-max", 8, "requests per pool submission wave")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill")
 	maxReqBytes := fs.Int64("max-request-bytes", 256<<20, "payload budget one request may declare")
-	recvTimeout := fs.Duration("recv-timeout", 30*time.Second, "per-frame receive deadline for admitted requests")
+	recvTimeout := fs.Duration("recv-timeout", 30*time.Second, "bound on receiving one header or payload frame once it starts arriving")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory for admitted requests (empty disables)")
 	walSync := fs.Bool("wal-sync", true, "fsync every WAL append and commit")

@@ -36,10 +36,9 @@
 // p50/p95/p99 summaries, and pipeline_* counters; AlgoNGST.Instrument and
 // AlgoOTIS.Instrument feed the preprocessing correction counters
 // (preprocess_*) into the same registry; MissionConfig.Telemetry adds
-// per-baseline stage timings. A TCP worker started with
-// WithWorkerServerSidecar serves /metrics, /healthz and /debug/pprof/
-// over HTTP next to its worker port; NewTelemetryServer does the same for
-// any registry. Workers implement ProcessTile(ctx, tile): context
+// per-baseline stage timings. NewTelemetryServer serves any registry's
+// /metrics, /healthz and /debug/pprof/ over HTTP, for example next to a
+// WorkerServer's port. Workers implement ProcessTile(ctx, tile): context
 // deadlines and cancellation propagate through the master and across the
 // gob transport to the serving node. Uninstrumented pipelines pay
 // nothing.

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spaceproc/internal/breaker"
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/rice"
 	"spaceproc/internal/telemetry"
@@ -49,32 +50,18 @@ const (
 var errPoolClosed = errors.New("cluster: pool closed")
 
 // WorkerState is a pool worker's circuit-breaker state.
-type WorkerState int
+type WorkerState = breaker.State
 
 const (
 	// WorkerHealthy workers compete for queued tiles.
-	WorkerHealthy WorkerState = iota
+	WorkerHealthy = breaker.Healthy
 	// WorkerQuarantined workers sit out their backoff after tripping the
 	// consecutive-failure breaker.
-	WorkerQuarantined
+	WorkerQuarantined = breaker.Quarantined
 	// WorkerProbing workers have served their backoff and are half-open:
 	// the next tile is a probe whose outcome readmits or re-quarantines.
-	WorkerProbing
+	WorkerProbing = breaker.Probing
 )
-
-// String renders the state for status output and logs.
-func (s WorkerState) String() string {
-	switch s {
-	case WorkerHealthy:
-		return "healthy"
-	case WorkerQuarantined:
-		return "quarantined"
-	case WorkerProbing:
-		return "probing"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // WorkerStatus is one worker's membership and health snapshot.
 type WorkerStatus struct {
@@ -97,11 +84,7 @@ type poolWorker struct {
 	w    Worker
 	hist *telemetry.Histogram // per-worker process latency; nil without telemetry
 	stop chan struct{}
-
-	state       WorkerState
-	consecutive int
-	backoff     time.Duration
-	reopenAt    time.Time
+	br   breaker.Breaker
 }
 
 // poolJob is one tile of one submission with its retry budget.
@@ -320,9 +303,9 @@ func (p *Pool) Workers() []WorkerStatus {
 	for _, pw := range p.workers {
 		out = append(out, WorkerStatus{
 			ID:                  pw.id,
-			State:               pw.state,
-			ConsecutiveFailures: pw.consecutive,
-			Backoff:             pw.backoff,
+			State:               pw.br.State,
+			ConsecutiveFailures: pw.br.Consecutive,
+			Backoff:             pw.br.Backoff,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return idSeqLess(out[i].ID, out[j].ID) })
@@ -546,8 +529,8 @@ func (p *Pool) runWorker(pw *poolWorker) {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		state := pw.state
-		wait := time.Until(pw.reopenAt)
+		state := pw.br.State
+		wait := time.Until(pw.br.ReopenAt)
 		p.mu.Unlock()
 		if state == WorkerQuarantined {
 			if wait > 0 {
@@ -564,8 +547,8 @@ func (p *Pool) runWorker(pw *poolWorker) {
 			}
 			// Backoff served: go half-open. The next tile is the probe.
 			p.mu.Lock()
-			if pw.state == WorkerQuarantined {
-				pw.state = WorkerProbing
+			if pw.br.State == WorkerQuarantined {
+				pw.br.State = WorkerProbing
 			}
 			p.mu.Unlock()
 		}
@@ -760,34 +743,22 @@ func (p *Pool) requeue(j *poolJob) {
 func (p *Pool) noteFailure(pw *poolWorker) (charge bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	wasProbe := pw.state == WorkerProbing
-	pw.consecutive++
-	tripped := false
-	if wasProbe || (pw.state == WorkerHealthy && pw.consecutive >= p.breakerThreshold) {
-		if pw.backoff == 0 {
-			pw.backoff = p.backoffBase
-		} else {
-			pw.backoff *= 2
-			if pw.backoff > p.backoffMax {
-				pw.backoff = p.backoffMax
-			}
-		}
-		pw.reopenAt = time.Now().Add(pw.backoff)
-		pw.state = WorkerQuarantined
-		tripped = true
-		if p.met != nil {
-			p.met.circuitOpened.Inc()
-		}
-		p.updateGaugesLocked()
-		if p.log != nil {
-			p.log.LogAttrs(context.Background(), slog.LevelWarn, "worker quarantined",
-				slog.String("worker", pw.id),
-				slog.Int("consecutive_failures", pw.consecutive),
-				slog.Duration("backoff", pw.backoff),
-				slog.Bool("probe", wasProbe))
-		}
+	wasProbe := pw.br.State == WorkerProbing
+	if !pw.br.Fail(p.breakerThreshold, p.backoffBase, p.backoffMax) {
+		return true
 	}
-	return !tripped || p.healthyLocked() == 0
+	if p.met != nil {
+		p.met.circuitOpened.Inc()
+	}
+	p.updateGaugesLocked()
+	if p.log != nil {
+		p.log.LogAttrs(context.Background(), slog.LevelWarn, "worker quarantined",
+			slog.String("worker", pw.id),
+			slog.Int("consecutive_failures", pw.br.Consecutive),
+			slog.Duration("backoff", pw.br.Backoff),
+			slog.Bool("probe", wasProbe))
+	}
+	return p.healthyLocked() == 0
 }
 
 // noteSuccess resets pw's breaker; a half-open probe success readmits the
@@ -795,12 +766,9 @@ func (p *Pool) noteFailure(pw *poolWorker) (charge bool) {
 func (p *Pool) noteSuccess(pw *poolWorker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pw.consecutive = 0
-	if pw.state == WorkerHealthy {
+	if !pw.br.Succeed() {
 		return
 	}
-	pw.state = WorkerHealthy
-	pw.backoff = 0
 	if p.met != nil {
 		p.met.circuitClosed.Inc()
 	}
@@ -814,7 +782,7 @@ func (p *Pool) noteSuccess(pw *poolWorker) {
 func (p *Pool) healthyLocked() int {
 	n := 0
 	for _, pw := range p.workers {
-		if pw.state == WorkerHealthy {
+		if pw.br.State == WorkerHealthy {
 			n++
 		}
 	}

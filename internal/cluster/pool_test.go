@@ -26,6 +26,20 @@ func (w *switchWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 	return w.inner.ProcessTile(ctx, t)
 }
 
+// tripWorker fails every tile and closes tripped on its after-th failure.
+type tripWorker struct {
+	failures atomic.Int32
+	after    int32
+	tripped  chan struct{}
+}
+
+func (w *tripWorker) ProcessTile(context.Context, dataset.Tile) (TileResult, error) {
+	if w.failures.Add(1) == w.after {
+		close(w.tripped)
+	}
+	return TileResult{}, errors.New("injected persistent fault")
+}
+
 // TestPoolQuarantinesAndReadmitsFailingWorker is the acceptance scenario: a
 // pool of 4 workers where one fails every tile must complete a baseline
 // bit-identical to a healthy 3-worker pool, quarantine the bad worker
@@ -145,7 +159,9 @@ func TestPoolDrainsTilesWithoutChargingRetries(t *testing.T) {
 // TestPoolQuarantinesAfterThreshold pins the breaker arithmetic: with a
 // threshold of 3, the bad worker's first two failures charge the retry
 // budget, the third trips the circuit uncharged, and every later probe
-// failure is uncharged too — so the run reports exactly 2 retries.
+// failure is uncharged too — so the run reports exactly 2 retries. The
+// healthy workers hold their first tile until the third failure, so the
+// bad worker always gets to fail three times.
 func TestPoolQuarantinesAfterThreshold(t *testing.T) {
 	sc := testScene(t, 43)
 	pool, err := NewPool(WithPoolTileSize(32), WithPoolRetries(3),
@@ -154,11 +170,12 @@ func TestPoolQuarantinesAfterThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	tripped := make(chan struct{})
 	for _, w := range localWorkers(t, 2, nil) {
-		pool.AddWorker(w)
+		// started holds one token per tile the worker can ever see (4).
+		pool.AddWorker(&slowWorker{inner: w, started: make(chan struct{}, 4), release: tripped})
 	}
-	bad := &switchWorker{inner: nil}
-	bad.failing.Store(true)
+	bad := &tripWorker{after: 3, tripped: tripped}
 	badID := pool.AddWorker(bad)
 
 	res := <-pool.Submit(context.Background(), sc.Observed)

@@ -125,23 +125,30 @@ func TestRunReportsEveryFailure(t *testing.T) {
 	}
 }
 
-// TestServerSidecarServesObservability spins up a TCP worker with the HTTP
-// sidecar and checks /metrics, /healthz and /debug/pprof/ respond.
+// TestServerSidecarServesObservability spins up a TCP worker with an HTTP
+// telemetry sidecar over its registry, the way spaceprocd runs one, and
+// checks /metrics, /healthz and /debug/pprof/ respond.
 func TestServerSidecarServesObservability(t *testing.T) {
 	sc := testScene(t, 24)
 	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(lw, WithSidecar("127.0.0.1:0"))
+	reg := telemetry.NewRegistry()
+	srv := NewServer(lw, WithServerTelemetry(reg))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Telemetry() == nil {
-		t.Fatal("sidecar should imply a registry")
+	if srv.Telemetry() != reg {
+		t.Fatal("server should report the registry it was given")
 	}
+	sidecar, err := telemetry.NewServer(reg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sidecar.Close()
 
 	rw, err := Dial(addr)
 	if err != nil {
@@ -156,10 +163,7 @@ func TestServerSidecarServesObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scAddr := srv.SidecarAddr()
-	if scAddr == "" {
-		t.Fatal("sidecar address empty after Listen")
-	}
+	scAddr := sidecar.Addr()
 	get := func(path string) string {
 		t.Helper()
 		resp, err := http.Get("http://" + scAddr + path)

@@ -2,16 +2,15 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"time"
 
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/telemetry"
+	"spaceproc/internal/wire"
 )
 
 // The TCP transport stands in for the Myrinet interconnect of the Figure 1
@@ -46,23 +45,28 @@ type response struct {
 	Spans []telemetry.TraceEvent
 }
 
-// Server exposes a Worker over TCP. With WithServerTelemetry it records
-// request counters and serve latency; with WithSidecar it additionally
-// runs an HTTP observability endpoint (/metrics, /healthz, /debug/pprof/)
-// next to the worker port.
-type Server struct {
-	worker      Worker
-	tel         *telemetry.Registry
-	log         *slog.Logger
-	sidecarAddr string
+// maxRequestBytes bounds the wire bytes of one request on the worker port:
+// the gob size of the largest baseline the serve port admits by default
+// (256 MiB of uint16 pixels, at most 3 bytes each as gob varints), plus
+// 64 KiB for type definitions and framing.
+const maxRequestBytes = 384<<20 + 64<<10
 
-	mu       sync.Mutex
-	listener net.Listener
-	sidecar  *telemetry.Server
-	closed   bool
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	proc     string
+// Server exposes a Worker over TCP. With WithServerTelemetry it records
+// request counters and serve latency. Idle connections may wait between
+// requests indefinitely, but once a request starts arriving it must fit
+// in maxRequestBytes and land within wire.ReceiveTimeout, or the
+// connection is dropped.
+type Server struct {
+	worker Worker
+	tel    *telemetry.Registry
+	log    *slog.Logger
+	// Per-request bounds, from maxRequestBytes and wire.ReceiveTimeout.
+	maxRequest  int64
+	recvTimeout time.Duration
+
+	mu     sync.Mutex
+	ln     *wire.Listener
+	closed bool
 
 	requests *telemetry.Counter
 	errored  *telemetry.Counter
@@ -78,14 +82,6 @@ func WithServerTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) { s.tel = reg }
 }
 
-// WithSidecar serves the observability HTTP surface on addr (for example
-// "127.0.0.1:0") while the worker listener is up. It implies a registry:
-// when none was supplied via WithServerTelemetry, the server creates its
-// own.
-func WithSidecar(addr string) ServerOption {
-	return func(s *Server) { s.sidecarAddr = addr }
-}
-
 // WithServerLogger routes the server's WARN-level request forensics
 // (failed tiles, expired deadlines) into l.
 func WithServerLogger(l *slog.Logger) ServerOption {
@@ -94,12 +90,9 @@ func WithServerLogger(l *slog.Logger) ServerOption {
 
 // NewServer returns a server around the worker.
 func NewServer(w Worker, opts ...ServerOption) *Server {
-	s := &Server{worker: w, conns: make(map[net.Conn]struct{})}
+	s := &Server{worker: w, maxRequest: maxRequestBytes, recvTimeout: wire.ReceiveTimeout}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.sidecarAddr != "" && s.tel == nil {
-		s.tel = telemetry.NewRegistry()
 	}
 	if s.tel != nil {
 		s.requests = s.tel.Counter("server_requests_total")
@@ -109,99 +102,40 @@ func NewServer(w Worker, opts ...ServerOption) *Server {
 	return s
 }
 
-// Telemetry returns the server's registry (nil unless telemetry or a
-// sidecar was configured).
+// Telemetry returns the server's registry (nil unless telemetry was
+// configured).
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address. Serving happens on background goroutines
-// until Close. When a sidecar address is configured, the HTTP endpoint
-// starts here too (see SidecarAddr).
+// until Close.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return "", errors.New("cluster: server already closed")
+	}
+	ln, err := wire.Listen(addr, s.serve)
 	if err != nil {
 		return "", fmt.Errorf("cluster: listen: %w", err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("cluster: server already closed")
-	}
-	s.listener = ln
-	s.proc = "worker " + ln.Addr().String()
-	if s.sidecarAddr != "" && s.sidecar == nil {
-		sc, err := telemetry.NewServer(s.tel, s.sidecarAddr)
-		if err != nil {
-			s.mu.Unlock()
-			ln.Close()
-			return "", err
-		}
-		s.sidecar = sc
-	}
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func(conn net.Conn) {
-				defer s.wg.Done()
-				s.serve(conn)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// SidecarAddr returns the bound observability address, or "" when no
-// sidecar is configured or Listen has not run yet.
-func (s *Server) SidecarAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sidecar == nil {
-		return ""
-	}
-	return s.sidecar.Addr()
+	s.ln = ln
+	return ln.Addr(), nil
 }
 
 // serve answers requests on one connection until it drops.
-func (s *Server) serve(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+func (s *Server) serve(c *wire.Conn) {
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		if c.Wait() != nil || c.Recv(&req, s.maxRequest, s.recvTimeout) != nil {
 			return
 		}
-		var resp response
 		res, spans, err := s.process(req)
-		resp.Spans = spans
+		resp := response{Result: res, Spans: spans}
 		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Result = res
+			resp = response{Err: err.Error(), Spans: spans}
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if c.Send(&resp) != nil {
 			return
 		}
 	}
@@ -240,7 +174,7 @@ func (s *Server) process(req request) (TileResult, []telemetry.TraceEvent, error
 	var spans []telemetry.TraceEvent
 	if req.Trace.Valid() {
 		s.mu.Lock()
-		proc := s.proc
+		proc := "worker " + s.ln.Addr()
 		s.mu.Unlock()
 		ev := telemetry.TraceEvent{
 			TraceID: serveTC.TraceID, SpanID: serveTC.SpanID, ParentID: req.Trace.SpanID,
@@ -261,31 +195,16 @@ func (s *Server) process(req request) (TileResult, []telemetry.TraceEvent, error
 	return res, spans, err
 }
 
-// Close stops the server (worker listener and sidecar) and waits for
-// in-flight requests.
+// Close stops the server and waits for in-flight requests.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	sidecar := s.sidecar
-	s.sidecar = nil
+	ln := s.ln
 	s.mu.Unlock()
-	if sidecar != nil {
-		sidecar.Close()
+	if ln != nil {
+		ln.Close()
 	}
-	s.wg.Wait()
 }
-
-// Reconnect defaults for RemoteWorker; override with WithDialBackoff.
-const (
-	DefaultDialAttempts = 3
-	DefaultDialBackoff  = 20 * time.Millisecond
-)
 
 // RemoteWorker is the master-side proxy for a slave node. A lost
 // connection is re-dialed with bounded exponential backoff on the next
@@ -294,14 +213,11 @@ const (
 // still surface immediately — the call stays at-most-once and the pool's
 // retry/breaker logic owns redelivery.
 type RemoteWorker struct {
-	addr         string
-	dialAttempts int
-	dialBackoff  time.Duration
+	addr string
+	dial wire.Dialer
 
 	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	conn *wire.Conn
 }
 
 var _ Worker = (*RemoteWorker)(nil)
@@ -310,25 +226,17 @@ var _ Worker = (*RemoteWorker)(nil)
 type DialOption func(*RemoteWorker)
 
 // WithDialBackoff tunes the reconnect loop: attempts dials per connect,
-// sleeping base (doubling each attempt) between them.
+// sleeping base (doubling each attempt) between them. The defaults are
+// wire.DefaultDialAttempts and wire.DefaultDialBackoff.
 func WithDialBackoff(attempts int, base time.Duration) DialOption {
-	return func(w *RemoteWorker) {
-		w.dialAttempts = attempts
-		w.dialBackoff = base
-	}
+	return func(w *RemoteWorker) { w.dial.Attempts, w.dial.Backoff = attempts, base }
 }
 
 // Dial connects to a slave served by Server.
 func Dial(addr string, opts ...DialOption) (*RemoteWorker, error) {
-	w := &RemoteWorker{addr: addr, dialAttempts: DefaultDialAttempts, dialBackoff: DefaultDialBackoff}
+	w := &RemoteWorker{addr: addr, dial: wire.Dialer{Attempts: wire.DefaultDialAttempts, Backoff: wire.DefaultDialBackoff}}
 	for _, o := range opts {
 		o(w)
-	}
-	if w.dialAttempts <= 0 {
-		w.dialAttempts = 1
-	}
-	if w.dialBackoff <= 0 {
-		w.dialBackoff = DefaultDialBackoff
 	}
 	if err := w.connect(context.Background()); err != nil {
 		return nil, err
@@ -339,31 +247,9 @@ func Dial(addr string, opts ...DialOption) (*RemoteWorker, error) {
 // connect dials the slave with bounded exponential backoff, so a worker
 // that is mid-restart when the proxy needs it gets a short grace window
 // instead of an instant failure. Callers hold w.mu.
-func (w *RemoteWorker) connect(ctx context.Context) error {
-	backoff := w.dialBackoff
-	var lastErr error
-	for attempt := 0; attempt < w.dialAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-			backoff *= 2
-		}
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", w.addr)
-		if err == nil {
-			w.conn = conn
-			w.enc = gob.NewEncoder(conn)
-			w.dec = gob.NewDecoder(conn)
-			return nil
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("cluster: dial %s (%d attempts): %w", w.addr, w.dialAttempts, lastErr)
+func (w *RemoteWorker) connect(ctx context.Context) (err error) {
+	w.conn, _, err = w.dial.Dial(ctx, func() []string { return []string{w.addr} })
+	return err
 }
 
 // ProcessTile implements Worker by round-tripping the tile to the slave.
@@ -382,33 +268,19 @@ func (w *RemoteWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 			return TileResult{}, err
 		}
 	}
-	conn := w.conn
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
-	// On cancellation, expire the socket so the blocked gob round-trip
-	// returns instead of hanging until the slave answers.
-	stopWatch := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stopWatch()
+	defer w.conn.Bind(ctx)()
 
 	req := request{Tile: t}
-	if hasDeadline {
-		req.Deadline = deadline
-	}
+	req.Deadline, _ = ctx.Deadline()
 	if tc, ok := telemetry.TraceFromContext(ctx); ok {
 		req.Trace = tc
 	}
-	if err := w.enc.Encode(&req); err != nil {
+	if err := w.conn.Send(&req); err != nil {
 		w.teardown()
 		return TileResult{}, transportErr(ctx, "send", t.Index, err)
 	}
 	var resp response
-	if err := w.dec.Decode(&resp); err != nil {
+	if err := w.conn.Recv(&resp, wire.NoLimit, 0); err != nil {
 		w.teardown()
 		return TileResult{}, transportErr(ctx, "receive", t.Index, err)
 	}
@@ -439,7 +311,6 @@ func (w *RemoteWorker) teardown() {
 	if w.conn != nil {
 		w.conn.Close()
 		w.conn = nil
-		w.enc, w.dec = nil, nil
 	}
 }
 

@@ -2,17 +2,17 @@ package serve
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"time"
 
+	"spaceproc/internal/breaker"
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/serve/ring"
 	"spaceproc/internal/telemetry"
+	"spaceproc/internal/wire"
 )
 
 // Client defaults; override via Config or the corresponding Option.
@@ -25,10 +25,6 @@ const (
 	// server's retry-after hint when one was given.
 	DefaultRetryBackoff    = 25 * time.Millisecond
 	DefaultRetryBackoffMax = 1 * time.Second
-	// DefaultClientDialAttempts and DefaultClientDialBackoff bound the
-	// reconnect loop, mirroring cluster.WithDialBackoff.
-	DefaultClientDialAttempts = 3
-	DefaultClientDialBackoff  = 20 * time.Millisecond
 )
 
 // ErrShed is wrapped into the error returned when every attempt was shed;
@@ -51,26 +47,17 @@ type clientMetrics struct {
 	lat      *telemetry.Histogram
 }
 
-// clientNode tracks one fleet member's dial health on the client side:
-// the pool's breaker idiom scaled down to a dial-avoidance window, so a
-// fleet-aware client stops hammering a dead node's connect timeout on
-// every reconnect.
-type clientNode struct {
-	consecutive int
-	backoff     time.Duration
-	avoidUntil  time.Time
-}
-
 // Client is the Go client for a serve.Server or Router: one connection,
 // sequential requests, bounded exponential-backoff retries over sheds
 // (honoring the server's retry-after hint as the floor) and transport
-// faults (re-dialing with its own bounded backoff, the
-// cluster.WithDialBackoff pattern). Open several clients for parallel
-// submissions.
+// faults (re-dialing with bounded backoff, see wire.Dialer). Open several
+// clients for parallel submissions.
 //
 // A fleet-aware client (DialFleet) holds the same consistent-hash ring a
 // router would and dials the member owning its client ID, failing over
-// along the ring when that node is unreachable.
+// along the ring when that node is unreachable. Each member's dials feed
+// a circuit breaker, so a member that keeps refusing is tried last until
+// its quarantine ends instead of costing a connect timeout every time.
 //
 // A Client is safe for concurrent use; concurrent Process calls serialize
 // over the single connection.
@@ -84,12 +71,10 @@ type Client struct {
 	log    *slog.Logger
 
 	mu      sync.Mutex
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	addr    string // address of the live conn
-	nodes   map[string]*clientNode
-	backoff time.Duration // current retry delay: doubles per shed, resets on success
+	conn    *wire.Conn
+	addr    string                      // address of the live conn
+	nodes   map[string]*breaker.Breaker // dial health per fleet member
+	backoff time.Duration               // current retry delay: doubles per shed, resets on success
 }
 
 // DialClient connects to a single serve.Server or Router.
@@ -139,7 +124,7 @@ func newClient(cfg Config, addrs []string) *Client {
 	c := &Client{
 		cfg:     cfg,
 		addrs:   append([]string(nil), addrs...),
-		nodes:   make(map[string]*clientNode),
+		nodes:   make(map[string]*breaker.Breaker),
 		backoff: cfg.RetryBackoff,
 	}
 	if len(addrs) > 1 {
@@ -162,19 +147,18 @@ func newClient(cfg Config, addrs []string) *Client {
 }
 
 // candidates returns the dial order: the ring sequence for the client's
-// ID with nodes inside their avoidance window demoted to the back, so a
-// recently dead member is the last resort instead of the first timeout.
-// Callers hold c.mu.
+// ID with quarantined members demoted to the back, so a recently dead
+// member is the last resort instead of the first timeout. Callers hold
+// c.mu.
 func (c *Client) candidates() []string {
 	if c.ring == nil {
 		return c.addrs
 	}
 	seq := c.ring.Sequence(c.cfg.ClientID)
-	now := time.Now()
 	due := make([]string, 0, len(seq))
 	var avoided []string
 	for _, a := range seq {
-		if n := c.nodes[a]; n != nil && now.Before(n.avoidUntil) {
+		if b := c.nodes[a]; b != nil && !b.Admit() {
 			avoided = append(avoided, a)
 			continue
 		}
@@ -189,64 +173,25 @@ func (c *Client) noteDial(addr string, err error) {
 	if c.ring == nil {
 		return
 	}
-	n := c.nodes[addr]
-	if n == nil {
-		n = &clientNode{}
-		c.nodes[addr] = n
+	b := c.nodes[addr]
+	if b == nil {
+		b = &breaker.Breaker{}
+		c.nodes[addr] = b
 	}
 	if err == nil {
-		n.consecutive = 0
-		n.backoff = 0
-		n.avoidUntil = time.Time{}
-		return
+		b.Succeed()
+	} else {
+		b.Fail(c.cfg.ProbeFailures, c.cfg.ProbeBackoff, c.cfg.ProbeBackoffMax)
 	}
-	n.consecutive++
-	if n.consecutive < c.cfg.ProbeFailures {
-		return
-	}
-	if n.backoff == 0 {
-		n.backoff = c.cfg.ProbeBackoff
-	} else if n.backoff *= 2; n.backoff > c.cfg.ProbeBackoffMax {
-		n.backoff = c.cfg.ProbeBackoffMax
-	}
-	n.avoidUntil = time.Now().Add(n.backoff)
 }
 
 // connect dials a server with bounded exponential backoff, walking the
 // failover candidates on each pass for a fleet-aware client. Callers
 // hold c.mu.
-func (c *Client) connect(ctx context.Context) error {
-	backoff := c.cfg.DialBackoff
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.DialAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-			backoff *= 2
-		}
-		for _, addr := range c.candidates() {
-			var d net.Dialer
-			conn, err := d.DialContext(ctx, "tcp", addr)
-			c.noteDial(addr, err)
-			if err == nil {
-				c.conn = conn
-				c.addr = addr
-				c.enc = gob.NewEncoder(conn)
-				c.dec = gob.NewDecoder(conn)
-				return nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-	}
-	return fmt.Errorf("serve: dial %v (%d attempts): %w", c.addrs, c.cfg.DialAttempts, lastErr)
+func (c *Client) connect(ctx context.Context) (err error) {
+	d := wire.Dialer{Attempts: c.cfg.DialAttempts, Backoff: c.cfg.DialBackoff, Note: c.noteDial}
+	c.conn, c.addr, err = d.Dial(ctx, c.candidates)
+	return err
 }
 
 // ensureConnected dials if the client has no live connection, bounded by
@@ -266,7 +211,6 @@ func (c *Client) teardown() {
 		c.conn.Close()
 		c.conn = nil
 		c.addr = ""
-		c.enc, c.dec = nil, nil
 	}
 }
 
@@ -325,19 +269,19 @@ func (c *Client) process(ctx context.Context, clientID, key string, s *dataset.S
 		c.met.requests.Inc()
 		defer func() { c.met.lat.Observe(time.Since(start)) }()
 	}
-	wire, _ := telemetry.TraceFromContext(ctx)
+	tc, _ := telemetry.TraceFromContext(ctx)
 	var root *telemetry.TraceSpan
 	if c.tracer != nil {
-		root = c.tracer.StartSpan(wire, StageClientRequest, clientID)
-		wire = root.Context()
+		root = c.tracer.StartSpan(tc, StageClientRequest, clientID)
+		tc = root.Context()
 		defer root.End()
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		att := c.tracer.StartSpan(wire, StageClientAttempt, fmt.Sprintf("attempt_%d", attempt))
+		att := c.tracer.StartSpan(tc, StageClientAttempt, fmt.Sprintf("attempt_%d", attempt))
 		attTC := att.Context()
 		if !attTC.Valid() {
-			attTC = wire
+			attTC = tc
 		}
 		res, retryIn, err := c.try(ctx, clientID, key, s, attTC)
 		endAttempt(att, retryIn, err)
@@ -463,9 +407,9 @@ func remoteError(msg string) *terminalError {
 
 // try runs one attempt. Outcomes: (res, -1, nil) success; (nil, hint, nil)
 // shed, retry no earlier than hint; (nil, 0, err) transport fault
-// (retryable) or *terminalError. wire is the trace position the server
+// (retryable) or *terminalError. tc is the trace position the server
 // should parent under (zero for untraced).
-func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack, wire telemetry.TraceContext) (*Result, time.Duration, error) {
+func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack, tc telemetry.TraceContext) (*Result, time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -476,31 +420,17 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 			return nil, 0, err
 		}
 	}
-	conn := c.conn
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
-	// On cancellation, expire the socket so a blocked gob round-trip
-	// returns instead of hanging until the server answers.
-	stopWatch := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stopWatch()
+	defer c.conn.Bind(ctx)()
 
 	hdr := header{Client: clientID, Key: key, Frames: s.Len(), Width: s.Width(), Height: s.Height(),
-		TraceID: wire.TraceID, SpanID: wire.SpanID}
-	if hasDeadline {
-		hdr.Deadline = deadline
-	}
-	if err := c.enc.Encode(&hdr); err != nil {
+		TraceID: tc.TraceID, SpanID: tc.SpanID}
+	hdr.Deadline, _ = ctx.Deadline()
+	if err := c.conn.Send(&hdr); err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: send header: %w", err)
 	}
 	var verdict response
-	if err := c.dec.Decode(&verdict); err != nil {
+	if err := c.conn.Recv(&verdict, wire.NoLimit, 0); err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive admission: %w", err)
 	}
@@ -515,25 +445,22 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 		return nil, 0, fmt.Errorf("serve: unexpected admission status %v", verdict.Status)
 	}
 	for _, frame := range s.Frames {
-		if err := c.enc.Encode(frame); err != nil {
+		if err := c.conn.Send(frame); err != nil {
 			c.teardown()
 			return nil, 0, fmt.Errorf("serve: send frame: %w", err)
 		}
 	}
 	var final response
-	if err := c.dec.Decode(&final); err != nil {
+	if err := c.conn.Recv(&final, wire.NoLimit, 0); err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive result: %w", err)
 	}
 	switch final.Status {
 	case StatusOK:
-		return &Result{
-			Image:      final.Image,
-			Compressed: final.Compressed,
-			Stats:      final.Stats,
-			PreStats:   final.PreStats,
-			Retries:    final.Retries,
-		}, -1, nil
+		if final.Result == nil {
+			return &Result{}, -1, nil
+		}
+		return final.Result, -1, nil
 	case StatusShed, StatusDraining:
 		// A post-admission shed: a router admitted the request but found
 		// every fleet candidate saturated by the time it forwarded. The

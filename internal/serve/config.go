@@ -8,6 +8,7 @@ import (
 
 	"spaceproc/internal/serve/ring"
 	"spaceproc/internal/telemetry"
+	"spaceproc/internal/wire"
 )
 
 // Fleet and probe defaults; override via Config or the corresponding
@@ -46,7 +47,7 @@ type Config struct {
 	PerClientQuota  int           // admitted requests per client ID; 0 = global limit only
 	RetryAfter      time.Duration // hint carried by shed responses
 	MaxRequestBytes int64         // payload bytes one header may declare
-	ReceiveTimeout  time.Duration // per-frame receive bound for admitted requests
+	ReceiveTimeout  time.Duration // bound on one header or frame once it starts arriving
 	BatchMax        int           // batch flush size; <= 1 disables batching
 	BatchWindow     time.Duration // batch flush age; <= 0 disables batching
 
@@ -63,8 +64,8 @@ type Config struct {
 	Attempts        int           // tries per Process call
 	RetryBackoff    time.Duration // first retry delay, doubling per attempt
 	RetryBackoffMax time.Duration
-	DialAttempts    int // dials per connect
-	DialBackoff     time.Duration
+	DialAttempts    int           // dial passes per connect; <= 0 dials once
+	DialBackoff     time.Duration // pause between passes, doubling; <= 0 = wire.DefaultDialBackoff
 
 	// Fleet topology and membership policy (router and fleet-aware
 	// clients).
@@ -95,8 +96,8 @@ func DefaultConfig() Config {
 		Attempts:        DefaultAttempts,
 		RetryBackoff:    DefaultRetryBackoff,
 		RetryBackoffMax: DefaultRetryBackoffMax,
-		DialAttempts:    DefaultClientDialAttempts,
-		DialBackoff:     DefaultClientDialBackoff,
+		DialAttempts:    wire.DefaultDialAttempts,
+		DialBackoff:     wire.DefaultDialBackoff,
 		VirtualNodes:    ring.DefaultVirtualNodes,
 		ProbeInterval:   DefaultProbeInterval,
 		ProbeFailures:   DefaultProbeFailures,
@@ -213,12 +214,6 @@ func (c *Config) clampClient() {
 	if c.RetryBackoffMax < c.RetryBackoff {
 		c.RetryBackoffMax = c.RetryBackoff
 	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 1
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = DefaultClientDialBackoff
-	}
 	if c.ProbeFailures <= 0 {
 		c.ProbeFailures = DefaultProbeFailures
 	}
@@ -259,9 +254,9 @@ func WithMaxRequestBytes(n int64) Option {
 	return func(c *Config) { c.MaxRequestBytes = n }
 }
 
-// WithReceiveTimeout bounds the wait for each payload frame of an
-// admitted request; a client that stalls mid-stream is disconnected and
-// its admission slot released.
+// WithReceiveTimeout bounds how long one header or payload frame may take
+// to arrive once it has started; a client that stalls mid-stream is
+// disconnected and its admission slot released.
 func WithReceiveTimeout(d time.Duration) Option {
 	return func(c *Config) { c.ReceiveTimeout = d }
 }
@@ -328,16 +323,6 @@ func WithClientDialBackoff(attempts int, base time.Duration) Option {
 		c.DialBackoff = base
 	}
 }
-
-// WithClientTelemetry wires the client's instrumentation into reg.
-//
-// Deprecated: telemetry options were unified; use WithTelemetry.
-func WithClientTelemetry(reg *telemetry.Registry) Option { return WithTelemetry(reg) }
-
-// WithClientLogger routes the client's retry forensics into l.
-//
-// Deprecated: logger options were unified; use WithLogger.
-func WithClientLogger(l *slog.Logger) Option { return WithLogger(l) }
 
 // WithFleet sets the fleet membership for routers and fleet-aware
 // clients.

@@ -172,7 +172,7 @@ func TestE2EShedAndRetryToSuccess(t *testing.T) {
 
 	creg := telemetry.NewRegistry()
 	retrier := dialClient(t, addr, WithClientID("retrier"),
-		WithClientTelemetry(creg),
+		WithTelemetry(creg),
 		WithRetryPolicy(100, time.Millisecond, 5*time.Millisecond))
 	retried := make(chan error, 1)
 	var res *Result
@@ -303,7 +303,7 @@ func TestE2EDrainingShedsNewRequestsOnOpenConns(t *testing.T) {
 	regDeadline := time.After(10 * time.Second)
 	for {
 		srv.mu.Lock()
-		registered := len(srv.conns)
+		registered := srv.ln.Conns()
 		srv.mu.Unlock()
 		if registered >= 2 {
 			break

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"spaceproc/internal/breaker"
 	"spaceproc/internal/cluster"
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/serve/ring"
@@ -22,32 +23,18 @@ import (
 // costs a connect timeout, not a request deadline.
 const fleetDialTimeout = time.Second
 
-// NodeState is a fleet member's circuit-breaker state, mirroring the
-// worker pool's idiom: Healthy until ProbeFailures consecutive probe or
-// forward failures, then Quarantined for an exponentially growing
-// backoff, then Probing (half-open) where a single success readmits and
-// a single failure re-quarantines with a doubled backoff.
-type NodeState int
+// NodeState is a fleet member's circuit-breaker state, the worker pool's
+// breaker: Healthy until ProbeFailures consecutive probe or forward
+// failures, then Quarantined for an exponentially growing backoff, then
+// Probing (half-open) where a single success readmits and a single
+// failure re-quarantines with a doubled backoff.
+type NodeState = breaker.State
 
 const (
-	NodeHealthy NodeState = iota
-	NodeQuarantined
-	NodeProbing
+	NodeHealthy     = breaker.Healthy
+	NodeQuarantined = breaker.Quarantined
+	NodeProbing     = breaker.Probing
 )
-
-// String renders the state for logs and status reports.
-func (s NodeState) String() string {
-	switch s {
-	case NodeHealthy:
-		return "healthy"
-	case NodeQuarantined:
-		return "quarantined"
-	case NodeProbing:
-		return "probing"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // NodeStatus is one member's membership snapshot (see Fleet.Status).
 type NodeStatus struct {
@@ -78,10 +65,7 @@ type fleetNode struct {
 	depthG   *telemetry.Gauge
 
 	mu          sync.Mutex
-	state       NodeState
-	consecutive int
-	backoff     time.Duration
-	reopenAt    time.Time
+	br          breaker.Breaker
 	probedDepth int       // serve_requests_inflight from the last probe
 	outstanding int       // live forwards from this fleet
 	idle        []*Client // parked forwarding connections
@@ -341,25 +325,15 @@ func (f *Fleet) forward(ctx context.Context, n *fleetNode, clientID, key string,
 		return nil, err
 	}
 	res, err := cl.process(ctx, clientID, key, s)
-	if err != nil {
-		// Shed and remote verdicts arrive over a healthy exchange, so the
-		// connection is still in sync and worth pooling; anything else
-		// means the stream state is unknown.
-		if errors.Is(err, ErrShed) || errors.Is(err, ErrRemote) {
-			n.pushClient(cl)
-		} else {
-			cl.Close()
-		}
-		return nil, err
+	// Shed and remote verdicts arrive over a healthy exchange, so the
+	// connection is still in sync and worth pooling; after any other
+	// error the stream state is unknown.
+	if err == nil || errors.Is(err, ErrShed) || errors.Is(err, ErrRemote) {
+		n.pushClient(cl)
+	} else {
+		cl.Close()
 	}
-	n.pushClient(cl)
-	return &cluster.Result{
-		Image:      res.Image,
-		Compressed: res.Compressed,
-		Stats:      res.Stats,
-		PreStats:   res.PreStats,
-		Retries:    res.Retries,
-	}, nil
+	return res, err
 }
 
 // popClient takes an idle forwarding client or builds a lean one: a
@@ -391,22 +365,12 @@ func (n *fleetNode) pushClient(cl *Client) {
 	go cl.Close()
 }
 
-// admittable reports whether the member may take a request, moving a
-// quarantined member whose backoff expired into the half-open Probing
-// state (this caller is the trial).
+// admittable reports whether the member may take a request or probe (see
+// breaker.Breaker.Admit).
 func (n *fleetNode) admittable() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch n.state {
-	case NodeHealthy, NodeProbing:
-		return true
-	default:
-		if time.Now().After(n.reopenAt) {
-			n.state = NodeProbing
-			return true
-		}
-		return false
-	}
+	return n.br.Admit()
 }
 
 // liveDepth is the depth estimate under n.mu.
@@ -428,13 +392,9 @@ func (n *fleetNode) depth() int {
 // ejected.
 func (f *Fleet) noteSuccess(n *fleetNode) {
 	n.mu.Lock()
-	was := n.state
-	n.state = NodeHealthy
-	n.consecutive = 0
-	n.backoff = 0
-	n.reopenAt = time.Time{}
+	readmitted := n.br.Succeed()
 	n.mu.Unlock()
-	if was == NodeHealthy {
+	if !readmitted {
 		return
 	}
 	if n.healthyG != nil {
@@ -455,20 +415,9 @@ func (f *Fleet) noteSuccess(n *fleetNode) {
 // was the half-open trial) into an exponentially longer quarantine.
 func (f *Fleet) noteFailure(n *fleetNode, cause error) {
 	n.mu.Lock()
-	n.consecutive++
-	trip := n.state == NodeProbing || n.consecutive >= f.cfg.ProbeFailures
-	wasHealthy := n.state == NodeHealthy
-	var backoff time.Duration
-	if trip {
-		if n.backoff == 0 {
-			n.backoff = f.cfg.ProbeBackoff
-		} else if n.backoff *= 2; n.backoff > f.cfg.ProbeBackoffMax {
-			n.backoff = f.cfg.ProbeBackoffMax
-		}
-		backoff = n.backoff
-		n.reopenAt = time.Now().Add(backoff)
-		n.state = NodeQuarantined
-	}
+	wasHealthy := n.br.State == NodeHealthy
+	trip := n.br.Fail(f.cfg.ProbeFailures, f.cfg.ProbeBackoff, f.cfg.ProbeBackoffMax)
+	backoff := n.br.Backoff
 	n.mu.Unlock()
 	if !trip {
 		return
@@ -503,7 +452,7 @@ func (f *Fleet) healthyCount() int {
 	c := 0
 	for _, n := range f.nodes {
 		n.mu.Lock()
-		if n.state == NodeHealthy {
+		if n.br.State == NodeHealthy {
 			c++
 		}
 		n.mu.Unlock()
@@ -516,7 +465,7 @@ func (f *Fleet) Status() map[string]NodeStatus {
 	out := make(map[string]NodeStatus, len(f.nodes))
 	for addr, n := range f.nodes {
 		n.mu.Lock()
-		out[addr] = NodeStatus{Addr: addr, State: n.state, Depth: n.liveDepth()}
+		out[addr] = NodeStatus{Addr: addr, State: n.br.State, Depth: n.liveDepth()}
 		n.mu.Unlock()
 	}
 	return out
@@ -539,10 +488,7 @@ func (f *Fleet) probeLoop() {
 		case <-t.C:
 		}
 		for _, n := range f.nodes {
-			n.mu.Lock()
-			skip := n.state == NodeQuarantined && time.Now().Before(n.reopenAt)
-			n.mu.Unlock()
-			if skip {
+			if !n.admittable() {
 				continue
 			}
 			if err := f.probe(httpc, n); err != nil {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"spaceproc/internal/core"
-	"spaceproc/internal/crreject"
-	"spaceproc/internal/dataset"
+	"spaceproc/internal/cluster"
 )
 
 // Wire protocol: gob frames over a persistent TCP connection, one request
@@ -18,12 +16,16 @@ import (
 //	client: header{Client, Frames, Width, Height, Deadline}
 //	server: response{Status: Accepted | Shed | Draining | Error}
 //	client: Frames x *dataset.Image   (only after Accepted)
-//	server: response{Status: OK | Error, result fields}
+//	server: response{Status: OK | Error, Result}
 //
 // Admission is decided on the header alone, before the payload is on the
 // wire: a shed request costs the network a few hundred bytes, not the
 // multi-megabyte baseline. Shed and Draining responses carry a RetryAfter
-// hint the client honors as the floor of its backoff.
+// hint the client honors as the floor of its backoff. The server reads
+// every value through a byte budget (maxHeaderBytes for a header, the
+// pixels the header declared for each frame) and, once the value starts
+// arriving, within the receive timeout; the wait for the next header is
+// unbounded.
 
 // Status is the server's verdict in a response frame.
 type Status int
@@ -128,13 +130,6 @@ func (h header) payloadBytes() int64 {
 	return int64(h.Frames) * int64(h.Width) * int64(h.Height) * 2
 }
 
-// wireBudget is the most bytes the header's payload may occupy on the
-// wire: gob encodes each uint16 pixel as a varint of at most 3 bytes,
-// plus one-time type definitions and per-frame message framing.
-func (h header) wireBudget() int64 {
-	return int64(h.Frames)*int64(h.Width)*int64(h.Height)*3 + int64(h.Frames)*64 + 64<<10
-}
-
 // validate rejects nonsensical or abusive headers before any payload is
 // accepted.
 func (h header) validate() error {
@@ -157,36 +152,13 @@ type response struct {
 	RetryAfter time.Duration
 	// Err accompanies StatusError.
 	Err string
-
-	// Result payload, set on StatusOK.
-	Image      *dataset.Image
-	Compressed []byte
-	Stats      crreject.Stats
-	PreStats   core.VoteStats
-	Retries    int
+	// Result accompanies StatusOK. gob omits a Result whose fields are all
+	// zero, so the client reads a missing one as &Result{}.
+	Result *Result
 }
 
 // Result is one served baseline's output: the repaired, integrated frame,
 // its Rice-compressed downlink payload, and the fault-forensics counters
-// the pipeline collected along the way.
-type Result struct {
-	// Image is the reintegrated full-frame image.
-	Image *dataset.Image
-	// Compressed is the Rice-compressed downlink payload.
-	Compressed []byte
-	// Stats aggregates cosmic-ray rejection statistics over all tiles.
-	Stats crreject.Stats
-	// PreStats aggregates preprocessing telemetry (corrected pixels,
-	// window bits, guard rejections) over all tiles.
-	PreStats core.VoteStats
-	// Retries counts tiles reassigned after worker failures.
-	Retries int
-}
-
-// CompressionRatio returns input bytes over downlink bytes.
-func (r *Result) CompressionRatio() float64 {
-	if len(r.Compressed) == 0 {
-		return 1
-	}
-	return float64(2*len(r.Image.Pix)) / float64(len(r.Compressed))
-}
+// the pipeline collected along the way. Its Err is nil on every served
+// result; failures travel as StatusError.
+type Result = cluster.Result

@@ -10,9 +10,9 @@
 //     payload is on the wire. Requests over either limit are shed with a
 //     retry-after hint instead of queueing unboundedly. Admission also
 //     bounds bytes, not just request count: headers declaring more than
-//     the request byte budget are refused, and the payload decode reads
-//     through a budget-capped reader so wire-claimed gob lengths cannot
-//     out-allocate the header the server admitted.
+//     the request byte budget are refused, and each frame decodes under
+//     the byte budget its admitted header earned (see internal/wire), so
+//     wire-claimed gob lengths cannot out-allocate the header.
 //   - Dynamic batching: admitted requests coalesce for up to a small
 //     window (or a maximum batch size) and their tiles submit onto the
 //     pool as one wave (see batcher).
@@ -30,10 +30,8 @@ package serve
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"strings"
@@ -44,6 +42,7 @@ import (
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/store"
 	"spaceproc/internal/telemetry"
+	"spaceproc/internal/wire"
 )
 
 // Server defaults; override via Config or the corresponding Option.
@@ -61,10 +60,10 @@ const (
 	// request may declare (Frames x Width x Height pixels at 2 bytes
 	// each).
 	DefaultMaxRequestBytes = 256 << 20
-	// DefaultReceiveTimeout bounds how long the server waits for each
-	// payload frame of an admitted request, so a client that stalls
+	// DefaultReceiveTimeout bounds how long a header or payload frame may
+	// take to arrive once it has started, so a client that stalls
 	// mid-stream releases its admission slot instead of pinning it.
-	DefaultReceiveTimeout = 30 * time.Second
+	DefaultReceiveTimeout = wire.ReceiveTimeout
 	// maxClientGauges caps how many distinct per-client inflight gauges
 	// the server will mint, so a hostile client sweeping IDs cannot grow
 	// the registry unboundedly. Quota enforcement is not affected.
@@ -113,11 +112,9 @@ type Server struct {
 	slow   slowRing
 
 	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	ln       *wire.Listener
 	draining bool
 	closed   bool
-	connWG   sync.WaitGroup // accept loop + connection handlers
 }
 
 // NewServer builds a daemon over the backend (normally a *cluster.Pool
@@ -147,7 +144,6 @@ func NewServerWith(backend Backend, cfg Config) (*Server, error) {
 		met:    core.metrics(),
 		tracer: core.Config().Telemetry.Tracer(),
 		log:    core.Config().Logger,
-		conns:  make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -168,51 +164,24 @@ func (s *Server) ReplayWAL(ctx context.Context) (int, error) {
 // background goroutines until Shutdown or Close. Returns the bound
 // address.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("serve: listen: %w", err)
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed || s.draining {
-		s.mu.Unlock()
-		ln.Close()
 		return "", errors.New("serve: server already shut down")
 	}
 	if s.ln != nil {
-		s.mu.Unlock()
-		ln.Close()
 		return "", errors.New("serve: already listening")
 	}
+	ln, err := wire.Listen(addr, s.serveConn)
+	if err != nil {
+		return "", fmt.Errorf("serve: listen: %w", err)
+	}
 	s.ln = ln
-	s.mu.Unlock()
 	if s.log != nil {
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "serving",
-			slog.String("addr", ln.Addr().String()))
+			slog.String("addr", ln.Addr()))
 	}
-	s.connWG.Add(1)
-	go func() {
-		defer s.connWG.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed || s.draining {
-				s.mu.Unlock()
-				conn.Close()
-				continue
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.connWG.Add(1)
-			go func(conn net.Conn) {
-				defer s.connWG.Done()
-				s.serveConn(conn)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), nil
+	return ln.Addr(), nil
 }
 
 // Addr returns the bound listen address, or "" before Listen.
@@ -222,7 +191,7 @@ func (s *Server) Addr() string {
 	if s.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return s.ln.Addr()
 }
 
 // Inflight reports the number of admitted requests currently in the
@@ -230,53 +199,18 @@ func (s *Server) Addr() string {
 func (s *Server) Inflight() int { return s.core.Inflight() }
 
 // serveConn answers requests on one connection until it drops or the
-// server closes.
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// The decoder reads through a per-phase byte budget: headers get a
-	// small fixed allowance, payloads the wire budget their admitted
-	// header earned. A stream claiming more simply fails its decode.
-	lim := &limitReader{r: conn, n: maxHeaderBytes}
-	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(conn)
+// server closes. The wait for a header is unbounded; once one starts
+// arriving it must fit in maxHeaderBytes within the receive timeout.
+func (s *Server) serveConn(c *wire.Conn) {
 	for {
-		lim.n = maxHeaderBytes
 		var hdr header
-		if err := dec.Decode(&hdr); err != nil {
+		if c.Wait() != nil || c.Recv(&hdr, maxHeaderBytes, s.cfg.ReceiveTimeout) != nil {
 			return
 		}
-		if !s.handle(conn, enc, dec, lim, hdr) {
+		if !s.handle(c, hdr) {
 			return
 		}
 	}
-}
-
-// limitReader caps how many bytes the gob decoder may consume per
-// protocol phase, so a wire-claimed message length cannot pull more off
-// the socket than the admitted header declared. n < 0 reads unlimited.
-type limitReader struct {
-	r io.Reader
-	n int64
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.n < 0 {
-		return l.r.Read(p)
-	}
-	if l.n == 0 {
-		return 0, errors.New("serve: request byte budget exhausted")
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
 }
 
 // handle runs one request exchange; it reports whether the connection is
@@ -289,7 +223,7 @@ func (l *limitReader) Read(p []byte) (int, error) {
 // root traces — an untraced request stays untraced — so trace volume is
 // always the client's choice. Every admitted request also leaves one
 // structured access-log line and competes for the slowest-requests ring.
-func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *limitReader, hdr header) bool {
+func (s *Server) handle(c *wire.Conn, hdr header) bool {
 	if s.met != nil {
 		s.met.requests.Inc()
 	}
@@ -299,22 +233,22 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 		if s.met != nil {
 			s.met.errored.Inc()
 		}
-		return enc.Encode(&response{Status: StatusError, Err: err.Error()}) == nil
+		return c.Send(&response{Status: StatusError, Err: err.Error()}) == nil
 	}
 	if declared := hdr.payloadBytes(); declared > s.cfg.MaxRequestBytes {
 		if s.met != nil {
 			s.met.errored.Inc()
 		}
-		return enc.Encode(&response{Status: StatusError,
+		return c.Send(&response{Status: StatusError,
 			Err: fmt.Sprintf("serve: request declares %d payload bytes, budget is %d",
 				declared, s.cfg.MaxRequestBytes)}) == nil
 	}
-	client := sanitizeClientID(hdr.Client, conn)
+	client := sanitizeClientID(hdr.Client, c)
 
-	wire := telemetry.TraceContext{TraceID: hdr.TraceID, SpanID: hdr.SpanID}
+	tc := telemetry.TraceContext{TraceID: hdr.TraceID, SpanID: hdr.SpanID}
 	var reqSpan *telemetry.TraceSpan
-	if s.tracer != nil && wire.Valid() {
-		reqSpan = s.tracer.StartSpan(wire, StageServeRequest, client)
+	if s.tracer != nil && tc.Valid() {
+		reqSpan = s.tracer.StartSpan(tc, StageServeRequest, client)
 	}
 	// child opens a phase span under the request span; nil (a no-op
 	// throughout) when the request is untraced.
@@ -335,14 +269,14 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 			s.log.LogAttrs(context.Background(), slog.LevelWarn, "request shed",
 				slog.String("client", client),
 				slog.String("status", dcsn.Status.String()),
-				slog.String("trace_id", traceIDString(wire)),
+				slog.String("trace_id", traceIDString(tc)),
 				slog.Duration("retry_after", dcsn.RetryAfter))
 		}
 		if reqSpan != nil {
 			reqSpan.Annotate("outcome", dcsn.Status.String())
 			reqSpan.End()
 		}
-		return enc.Encode(&verdict) == nil
+		return c.Send(&verdict) == nil
 	}
 	defer release()
 	start := time.Now()
@@ -368,13 +302,13 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 				slog.Duration("queue_wait", queueWait),
 				slog.Int("batch_size", batchSize),
 				slog.String("outcome", outcome),
-				slog.String("trace_id", traceIDString(wire)),
+				slog.String("trace_id", traceIDString(tc)),
 				slog.Duration("duration", dur))
 		}
 		s.slow.note(SlowRequest{
 			Time:      time.Now(),
 			Client:    client,
-			TraceID:   traceIDString(wire),
+			TraceID:   traceIDString(tc),
 			Outcome:   outcome,
 			Bytes:     hdr.payloadBytes(),
 			QueueWait: queueWait,
@@ -387,22 +321,21 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 		}
 	}()
 
-	if err := enc.Encode(&verdict); err != nil {
+	if err := c.Send(&verdict); err != nil {
 		return false
 	}
 
 	// Receive the baseline. A decode fault here leaves the stream
-	// unsynchronized, so the connection is dropped. The reader budget is
-	// the admitted header's worst-case wire size; each frame must land
-	// within the receive timeout so a stalled client cannot pin its
-	// admission slot.
+	// unsynchronized, so the connection is dropped. Each frame may cost its
+	// pixels at gob's worst 3 bytes each plus the header allowance (framing
+	// and the one-time type definitions), and must land within the receive
+	// timeout so a stalled client cannot pin its admission slot.
 	recv := child(StageReceive, fmt.Sprintf("frames_%d", hdr.Frames))
-	lim.n = hdr.wireBudget()
+	frameBudget := int64(hdr.Width)*int64(hdr.Height)*3 + maxHeaderBytes
 	stack := &dataset.Stack{Frames: make([]*dataset.Image, hdr.Frames)}
 	for i := range stack.Frames {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReceiveTimeout)) //nolint:errcheck // a dead conn fails the decode below
 		var frame dataset.Image
-		if err := dec.Decode(&frame); err != nil {
+		if err := c.Recv(&frame, frameBudget, s.cfg.ReceiveTimeout); err != nil {
 			outcome = "recv_error"
 			recv.Annotate("error", err.Error())
 			recv.End()
@@ -415,14 +348,13 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 			outcome = "bad_frame"
 			recv.Annotate("error", "frame does not match header")
 			recv.End()
-			enc.Encode(&response{Status: StatusError,
+			c.Send(&response{Status: StatusError,
 				Err: fmt.Sprintf("serve: frame %d is %dx%d (%d px), header said %dx%d",
 					i, frame.Width, frame.Height, len(frame.Pix), hdr.Width, hdr.Height)})
 			return false
 		}
 		stack.Frames[i] = &frame
 	}
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // idle waits between requests are unbounded by design
 	recv.End()
 	if s.met != nil {
 		s.met.recvLat.Observe(time.Since(start))
@@ -447,14 +379,7 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 		dig = store.StackDigest(stack)
 		if cached, ok := s.core.CachedResult(dig); ok {
 			resp := child(StageRespond, client)
-			sent := enc.Encode(&response{
-				Status:     StatusOK,
-				Image:      cached.Image,
-				Compressed: cached.Compressed,
-				Stats:      cached.Stats,
-				PreStats:   cached.PreStats,
-				Retries:    cached.Retries,
-			}) == nil
+			sent := c.Send(&response{Status: StatusOK, Result: cached}) == nil
 			resp.End()
 			if sent {
 				outcome = "dedupe_hit"
@@ -508,7 +433,7 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 					slog.String("client", client))
 			}
 			outcome = "shed"
-			return enc.Encode(&response{Status: StatusShed, RetryAfter: s.cfg.RetryAfter}) == nil
+			return c.Send(&response{Status: StatusShed, RetryAfter: s.cfg.RetryAfter}) == nil
 		}
 		if s.met != nil {
 			s.met.errored.Inc()
@@ -519,17 +444,10 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 				slog.String("error", res.Err.Error()))
 		}
 		outcome = "error"
-		return enc.Encode(&response{Status: StatusError, Err: res.Err.Error()}) == nil
+		return c.Send(&response{Status: StatusError, Err: res.Err.Error()}) == nil
 	}
 	resp := child(StageRespond, client)
-	ok := enc.Encode(&response{
-		Status:     StatusOK,
-		Image:      res.Image,
-		Compressed: res.Compressed,
-		Stats:      res.Stats,
-		PreStats:   res.PreStats,
-		Retries:    res.Retries,
-	}) == nil
+	ok := c.Send(&response{Status: StatusOK, Result: res}) == nil
 	resp.End()
 	if ok {
 		outcome = "ok"
@@ -568,13 +486,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return nil
 		case <-ctx.Done():
 			s.core.ForceCancel()
-			s.closeConns()
+			if ln != nil {
+				ln.CloseConns()
+			}
 			<-done
 			return ctx.Err()
 		}
 	}
 	if ln != nil {
-		ln.Close()
+		ln.Stop()
 	}
 	if s.log != nil {
 		s.log.LogAttrs(ctx, slog.LevelInfo, "draining",
@@ -593,33 +513,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// handler parked in a network read or write, and the drain must
 		// not wait on one.
 		s.core.ForceCancel()
-		s.closeConns()
+		if ln != nil {
+			ln.CloseConns()
+		}
 		<-done
 	}
 
 	s.mu.Lock()
 	s.closed = true
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.mu.Unlock()
-	s.connWG.Wait()
+	if ln != nil {
+		ln.Close()
+	}
 	s.core.ForceCancel()
 	s.core.closeIngest()
 	if s.log != nil {
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "drained")
 	}
 	return err
-}
-
-// closeConns force-closes every tracked connection, unblocking handlers
-// parked in network reads or writes so they retire their admission slots.
-func (s *Server) closeConns() {
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
 }
 
 // Close shuts down immediately: inflight requests' contexts are cancelled
@@ -633,7 +544,7 @@ func (s *Server) Close() {
 // sanitizeClientID maps a wire-supplied client ID onto the quota and
 // telemetry keyspace: metric-safe runes only, bounded length, remote host
 // as the fallback for anonymous clients.
-func sanitizeClientID(id string, conn net.Conn) string {
+func sanitizeClientID(id string, conn interface{ RemoteAddr() net.Addr }) string {
 	if id == "" {
 		host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
 		if err != nil {

@@ -471,7 +471,7 @@ func TestShedRetrySucceeds(t *testing.T) {
 	<-fb.started
 
 	retrier := dialClient(t, addr,
-		WithClientTelemetry(creg),
+		WithTelemetry(creg),
 		WithRetryPolicy(50, time.Millisecond, 5*time.Millisecond))
 	retried := make(chan error, 1)
 	go func() {
@@ -643,7 +643,7 @@ func TestClientRetriesTransportFault(t *testing.T) {
 				return
 			}
 		}
-		enc.Encode(&response{Status: StatusOK, Image: img}) //nolint:errcheck
+		enc.Encode(&response{Status: StatusOK, Result: &Result{Image: img}}) //nolint:errcheck
 	}()
 
 	c, err := DialClient(ln.Addr().String(),

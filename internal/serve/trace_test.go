@@ -192,6 +192,9 @@ func TestSlowestRingRecordsServedRequests(t *testing.T) {
 			t.Fatalf("Process %d: %v", i, err)
 		}
 	}
+	// The ring entry lands in handle's deferred bookkeeping, after the
+	// response bytes are written, so the client can return first.
+	waitFor(func() bool { return len(srv.Slowest()) == 3 })
 	slow := srv.Slowest()
 	if len(slow) != 3 {
 		t.Fatalf("slow ring holds %d entries; want 3", len(slow))

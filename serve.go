@@ -137,8 +137,9 @@ func WithServeMaxRequestBytes(n int64) ServeOption {
 	return serve.WithMaxRequestBytes(n)
 }
 
-// WithServeReceiveTimeout bounds the wait for each payload frame of an
-// admitted request, so a stalled client releases its admission slot.
+// WithServeReceiveTimeout bounds how long one header or payload frame may
+// take to arrive once it has started, so a stalled client releases its
+// admission slot.
 func WithServeReceiveTimeout(d time.Duration) ServeOption {
 	return serve.WithReceiveTimeout(d)
 }

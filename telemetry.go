@@ -97,11 +97,6 @@ func WithWorkerServerTelemetry(reg *TelemetryRegistry) WorkerServerOption {
 	return cluster.WithServerTelemetry(reg)
 }
 
-// WithWorkerServerSidecar serves the observability HTTP surface
-// (/metrics, /healthz, /debug/pprof/) on addr while the worker listener is
-// up.
-func WithWorkerServerSidecar(addr string) WorkerServerOption { return cluster.WithSidecar(addr) }
-
 // NewTelemetryServer serves reg's observability surface on addr
 // ("127.0.0.1:0" picks a free port; see TelemetryServer.Addr).
 func NewTelemetryServer(reg *TelemetryRegistry, addr string) (*TelemetryServer, error) {
