@@ -64,7 +64,8 @@ bench-compare:
 
 # fuzz-smoke gives every fuzz target a short budget of fresh inputs on
 # top of the seeded corpus the normal test run replays: the plane-kernel
-# differential fuzzers, the permutation bijectivity fuzzer, the campaign
+# differential fuzzers, the way-threshold histogram against its sort
+# reference, the permutation bijectivity fuzzer, the campaign
 # site enumerator, the codec/parser fuzzers, and the budgeted gob receive
 # both network ports read through. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
@@ -73,6 +74,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneTemporal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneStack$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWayThreshold$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice

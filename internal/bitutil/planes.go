@@ -140,39 +140,6 @@ func UntransposeBlock64x32(w *[64]uint64, width int) {
 	}
 }
 
-// VoteWords is the lane-parallel unanimity vote: the AND of all voter
-// words, 64 lanes at a time. A voter word carries one bit plane of one
-// voter's (pruned) XOR value across every lane; lanes where a voter is
-// absent must be substituted with all-ones by the caller so absence never
-// vetoes. For an empty voter set it returns 0, matching ANDAll.
-func VoteWords(voters []uint64) uint64 {
-	if len(voters) == 0 {
-		return 0
-	}
-	out := ^uint64(0)
-	for _, v := range voters {
-		out &= v
-	}
-	return out
-}
-
-// LeaveOneOutANDWords is the lane-parallel GRT quorum (see LeaveOneOutAND):
-// a lane bit is set iff at least len(voters)-1 voter words have it set.
-// Absent voters substituted with all-ones drop out of the count exactly as
-// scalar GRT over the present voters only. For fewer than two voters it
-// returns 0.
-func LeaveOneOutANDWords(voters []uint64) uint64 {
-	if len(voters) < 2 {
-		return 0
-	}
-	var zero1, zero2 uint64
-	for _, v := range voters {
-		zero2 |= zero1 &^ v
-		zero1 |= ^v
-	}
-	return ^zero2
-}
-
 // MajorityVote3Words is the two-of-three bitwise majority over 64 lanes at
 // once (the word form of MajorityVote3).
 func MajorityVote3Words(a, b, c uint64) uint64 {

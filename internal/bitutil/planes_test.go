@@ -87,49 +87,6 @@ func TestLaneMask(t *testing.T) {
 	}
 }
 
-// TestWordVotersMatchScalar checks VoteWords / LeaveOneOutANDWords lane by
-// lane against ANDAll / LeaveOneOutAND over the same per-lane voter sets,
-// including lanes with absent (all-ones substituted) voters.
-func TestWordVotersMatchScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		nv := 2 + r.Intn(6)
-		voters := make([]uint64, nv)  // one bit plane of each voter
-		present := make([]uint64, nv) // which lanes each voter exists in
-		for v := range voters {
-			voters[v] = r.Uint64()
-			present[v] = r.Uint64()
-			voters[v] = (voters[v] & present[v]) | ^present[v]
-		}
-		and := VoteWords(voters)
-		loo := LeaveOneOutANDWords(voters)
-		for l := 0; l < 64; l++ {
-			var vals []uint32
-			for v := range voters {
-				if present[v]>>uint(l)&1 == 1 {
-					vals = append(vals, uint32(voters[v]>>uint(l)&1))
-				}
-			}
-			wantAnd := ANDAll(vals) & 1
-			wantLoo := LeaveOneOutAND(vals) & 1
-			// Lanes where every voter is absent: the word AND sees only
-			// all-ones substitutes; scalar ANDAll of nothing is 0. The
-			// caller masks such lanes out with an eligibility mask, so
-			// only compare lanes with >= 2 present voters (the quorum
-			// precondition the engine enforces).
-			if len(vals) < 2 {
-				continue
-			}
-			if got := and >> uint(l) & 1; uint32(got) != wantAnd {
-				t.Fatalf("trial %d lane %d: AND got %d want %d (voters %d)", trial, l, got, wantAnd, len(vals))
-			}
-			if got := loo >> uint(l) & 1; uint32(got) != wantLoo {
-				t.Fatalf("trial %d lane %d: LOO got %d want %d (voters %d)", trial, l, got, wantLoo, len(vals))
-			}
-		}
-	}
-}
-
 func TestMajorityVote3Words(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {

@@ -208,8 +208,10 @@ func (a *AlgoNGST) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats
 	}
 	opt := a.cfg.voteOptions(collect)
 	corr := correctTemporalAuto(sc, vals, a.cfg.Upsilon, a.cfg.Sensitivity, 16, opt, a.cfg.ScalarOnly)
-	for i := range s {
-		s[i] ^= uint16(corr[i])
+	for i, c := range corr {
+		if c != 0 {
+			s[i] ^= uint16(c)
+		}
 	}
 	if collect == &sc.stats {
 		a.finishSeries(sc.stats, stats)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"slices"
 
 	"spaceproc/internal/bitutil"
@@ -187,15 +188,14 @@ type CubeScratch struct {
 	// bits and out are the plane's IEEE-754 bit patterns (input and
 	// voted output).
 	bits, out []uint32
-	// hx and vx are the horizontal and vertical XOR way sets.
+	// hx and vx are the horizontal and vertical XOR way sets; each vote
+	// tile counts its thresholds straight from their rows.
 	hx, vx []uint32
-	// blockBuf collects one vote tile's XOR values for thresholding.
-	blockBuf []uint32
 	// devs is the per-pixel neighbor-deviation map of the trend guard;
-	// absBuf is the workspace of its median-absolute-deviation scale.
+	// absBuf is the selection workspace of its median-absolute-deviation
+	// scale.
 	devs, absBuf []float64
-	// vote is the temporal voter scratch of the spectral-locality path
-	// (also supplies the threshold sort buffer for the spatial path).
+	// vote is the temporal voter scratch of the spectral-locality path.
 	vote VoteScratch
 }
 
@@ -405,37 +405,30 @@ func (a *AlgoOTIS) votePlane(plane []float32, w, h int, lo, hi float64, sc *Cube
 		plane: plane, bits: bits, out: out, hx: hx, vx: vx,
 		devs: devs, w: w, h: h, lo: lo, hi: hi, tau: tau, stats: stats,
 	}
-	scratch := sc.blockBuf[:0]
+	lambda := a.cfg.Sensitivity
 	for ty := 0; ty < h; ty += voteTile {
 		for tx := 0; tx < w; tx += voteTile {
-			x1, y1 := tx+voteTile, ty+voteTile
-			if x1 > w {
-				x1 = w
-			}
-			if y1 > h {
-				y1 = h
-			}
-			// Per-block thresholds from the XOR pairs inside the block.
-			scratch = scratch[:0]
+			x1, y1 := min(tx+voteTile, w), min(ty+voteTile, h)
+			// Per-block thresholds from the XOR pairs inside the block,
+			// counted straight from the way rows.
+			var hh, vh wayHist
 			for y := ty; y < y1; y++ {
-				for x := tx; x < x1-1; x++ {
-					scratch = append(scratch, hx[y*(w-1)+x])
+				for _, v := range hx[y*(w-1)+tx : y*(w-1)+x1-1] {
+					hh.add(v)
 				}
 			}
-			vvalH := wayThresholdBuf(scratch, a.cfg.Sensitivity, PruneIndex, &sc.vote)
-			scratch = scratch[:0]
 			for y := ty; y < y1-1; y++ {
-				for x := tx; x < x1; x++ {
-					scratch = append(scratch, vx[y*w+x])
+				for _, v := range vx[y*w+tx : y*w+x1] {
+					vh.add(v)
 				}
 			}
-			vvalV := wayThresholdBuf(scratch, a.cfg.Sensitivity, PruneIndex, &sc.vote)
+			vvalH := hh.threshold(PruneIndex(lambda, (y1-ty)*(x1-1-tx)))
+			vvalV := vh.threshold(PruneIndex(lambda, (y1-1-ty)*(x1-tx)))
 			vvalsBuf := [2]uint32{vvalH, vvalV}
 			lsbMask, msbMask := windowMasks(vvalsBuf[:], 32)
 			a.voteTileScalar(&sv, tx, ty, x1, y1, vvalH, vvalV, lsbMask, msbMask)
 		}
 	}
-	sc.blockBuf = scratch[:0]
 	for i := range plane {
 		plane[i] = math.Float32frombits(out[i])
 	}
@@ -503,18 +496,19 @@ func (a *AlgoOTIS) applySpatial(sv *spatialVote, x, y int, corr uint32) {
 		}
 		return
 	}
+	nm := neighborMedian(sv.plane, w, h, x, y)
 	fixed := math.Float32frombits(sv.bits[i] ^ corr)
 	f := float64(fixed)
 	if math.IsNaN(f) || math.IsInf(f, 0) || f < sv.lo || f > sv.hi {
 		// The voted pattern is itself unphysical; fall back to the
 		// neighborhood median.
-		fixed = neighborMedian(sv.plane, w, h, x, y)
+		fixed = nm
 		f = float64(fixed)
 	}
 	// Value-space acceptance, as in the temporal engine: a genuine repair
 	// moves the sample toward its neighborhood by about the correction's
 	// magnitude.
-	med := float64(neighborMedian(sv.plane, w, h, x, y))
+	med := float64(nm)
 	before := math.Abs(float64(sv.plane[i]) - med)
 	after := math.Abs(f - med)
 	if after > before {
@@ -567,11 +561,17 @@ func isNaturalTrend(devs []float64, w, h, x, y int, tau float64) bool {
 	return same >= 2
 }
 
-// neighborMedian returns the median of the in-plane 4-neighbors of (x,y).
-// The candidate buffer is a fixed-size array, so the per-pixel call (it
-// runs for every pixel of every band in the trend-guard pre-pass) stays
-// off the heap.
+// neighborMedian returns the lower median of the in-plane 4-neighbors of
+// (x,y), taken in left, right, up, down order as medianF32 would. It runs
+// for every pixel of every band in the trend-guard pre-pass, so interior
+// pixels, which always have all four neighbors, go straight to the
+// median4 network; edge pixels collect the neighbors they have into a
+// fixed-size array, keeping the call off the heap either way.
 func neighborMedian(plane []float32, w, h, x, y int) float32 {
+	if x > 0 && x < w-1 && y > 0 && y < h-1 {
+		i := y*w + x
+		return median4(plane[i-1], plane[i+1], plane[i-w], plane[i+w])
+	}
 	var buf [4]float32
 	vals := buf[:0]
 	for _, off := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
@@ -605,7 +605,56 @@ func medianF32(vals []float32, fallback float32) float32 {
 	return vals[(len(vals)-1)/2]
 }
 
-// medianAbs returns the median of |vals|, using sc's workspace.
+// median4 returns the lower median of a, b, c, d: the value medianF32
+// returns for them in that order. Compare-exchanges keyed on (value,
+// argument position) pick the element a stable sort would place second,
+// so ties, -0 against +0 included, resolve as the insertion sort resolves
+// them. Values must be NaN-free.
+func median4(a, b, c, d float32) float32 {
+	// Sort each pair; on a tie the earlier argument stays first.
+	lo1, hi1 := a, b
+	if b < a {
+		lo1, hi1 = b, a
+	}
+	lo2, hi2 := c, d
+	if d < c {
+		lo2, hi2 = d, c
+	}
+	// The answer is the lesser of max(lo1, lo2) and min(hi1, hi2). Each
+	// first-pair element precedes each second-pair one, so across the
+	// pairs a tie goes to the first pair; first1/first2 record which
+	// pair each candidate came from.
+	m1, first1 := lo2, false
+	if lo2 < lo1 {
+		m1, first1 = lo1, true
+	}
+	m2, first2 := hi1, true
+	if hi2 < hi1 {
+		m2, first2 = hi2, false
+	}
+	// A pair's low element precedes its high one, so when both candidates
+	// come from one pair m1 is the answer.
+	switch {
+	case first1 == first2:
+		return m1
+	case first1:
+		if m2 < m1 {
+			return m2
+		}
+		return m1
+	default:
+		if m1 < m2 {
+			return m1
+		}
+		return m2
+	}
+}
+
+// medianAbs returns the median of |vals|: the (n-1)/2-th smallest, picked
+// by selection in sc's workspace rather than a full sort. vals must be
+// NaN-free, which the bounds repair that precedes the trend guard
+// ensures; math.Abs clears the sign of zero, so equal values share one
+// bit pattern and the selected element is bit for bit the sorted median.
 func medianAbs(vals []float64, sc *CubeScratch) float64 {
 	if len(vals) == 0 {
 		return 0
@@ -615,6 +664,56 @@ func medianAbs(vals []float64, sc *CubeScratch) float64 {
 	for i, v := range vals {
 		abs[i] = math.Abs(v)
 	}
-	slices.Sort(abs)
-	return abs[(len(abs)-1)/2]
+	return selectNth(abs, (len(abs)-1)/2)
+}
+
+// selectNth returns the k-th smallest element of the NaN-free vals,
+// reordering vals in place: Hoare partitioning around a median-of-three
+// pivot, narrowing to the side that holds k, in expected linear time. A
+// partition budget of twice the bit length of len(vals) bounds the worst
+// case; a range that exhausts it is finished with a sort.
+func selectNth(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for budget := 2 * bits.Len(uint(len(vals))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(vals[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if vals[mid] < vals[lo] {
+			vals[mid], vals[lo] = vals[lo], vals[mid]
+		}
+		if vals[hi] < vals[lo] {
+			vals[hi], vals[lo] = vals[lo], vals[hi]
+		}
+		if vals[hi] < vals[mid] {
+			vals[hi], vals[mid] = vals[mid], vals[hi]
+		}
+		pivot := vals[mid]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for vals[j] > pivot {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		// Now vals[lo..j] <= pivot <= vals[i..hi], and everything
+		// strictly between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return vals[k]
+		}
+	}
+	return vals[k]
 }

@@ -19,8 +19,7 @@
 package core
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"spaceproc/internal/bitutil"
 )
@@ -77,34 +76,43 @@ func PruneIndexLiteral(lambda, count int) int {
 	return phi
 }
 
-// wayThreshold computes one voter way's cut-off Vval: the lowest power of
-// two >= the Phi-th greatest XOR value of the way. XOR values <= Vval are
-// pruned (cannot vote).
-func wayThreshold(xors []uint32, lambda int) uint32 {
-	return wayThresholdFunc(xors, lambda, PruneIndex)
+// wayHist counts one voter way's XOR values by CeilPow2 class: value v
+// lands in bucket k(v) = 0 for v <= 1 and bits.Len32(v-1) otherwise, so
+// CeilPow2(v) == 1<<k(v), with bucket 32 holding the values whose ceiling
+// overflows uint32.
+type wayHist [33]int
+
+// add counts one XOR value.
+func (h *wayHist) add(v uint32) {
+	h[bits.Len32(max(v, 1)-1)]++
 }
 
-// wayThresholdFunc is wayThreshold with a pluggable Phi (for the
-// literal-formula ablation).
-func wayThresholdFunc(xors []uint32, lambda int, phiOf func(lambda, count int) int) uint32 {
-	var sc VoteScratch
-	return wayThresholdBuf(xors, lambda, phiOf, &sc)
-}
-
-// wayThresholdBuf is wayThresholdFunc against caller-owned scratch: the
-// descending sort runs in sc.sortBuf, so a warm scratch makes the
-// threshold computation allocation-free.
-func wayThresholdBuf(xors []uint32, lambda int, phiOf func(lambda, count int) int, sc *VoteScratch) uint32 {
-	if len(xors) == 0 {
-		return 1
+// threshold returns the way cut-off Vval: CeilPow2 of the phi-th greatest
+// counted value. CeilPow2 is monotone, so that is the ceiling of the
+// phi-th greatest class, found by walking the buckets down from the top
+// instead of sorting the values. Class 32 yields 0, reproducing
+// CeilPow2's uint32 overflow (planeVote mirrors it); an empty way yields
+// 1.
+func (h *wayHist) threshold(phi int) uint32 {
+	n := 0
+	for k := 32; k > 0; k-- {
+		if n += h[k]; n >= phi {
+			return uint32(1) << k
+		}
 	}
-	sc.sortBuf = growU32(sc.sortBuf, len(xors))
-	sorted := sc.sortBuf
-	copy(sorted, xors)
-	slices.SortFunc(sorted, func(a, b uint32) int { return cmp.Compare(b, a) })
-	phi := phiOf(lambda, len(sorted))
-	v := sorted[phi-1]
-	return bitutil.CeilPow2(v)
+	return 1
+}
+
+// wayThreshold computes one voter way's cut-off Vval: the lowest power of
+// two >= the Phi-th greatest XOR value of the way, with phiOf choosing Phi
+// (PruneIndex, or PruneIndexLiteral for the literal-formula ablation).
+// XOR values <= Vval are pruned (cannot vote).
+func wayThreshold(xors []uint32, lambda int, phiOf func(lambda, count int) int) uint32 {
+	var h wayHist
+	for _, v := range xors {
+		h.add(v)
+	}
+	return h.threshold(phiOf(lambda, len(xors)))
 }
 
 // windowMasks derives the A/B/C bit-window delimiters from the per-way
@@ -257,7 +265,7 @@ func correctTemporalScratch(sc *VoteScratch, vals []uint32, upsilon, lambda, wid
 			w[i] = vals[i] ^ vals[i+d]
 		}
 		xors[d-1] = w
-		vvals[d-1] = wayThresholdBuf(w, lambda, phiOf, sc)
+		vvals[d-1] = wayThreshold(w, lambda, phiOf)
 	}
 	lsbMask, msbMask := windowMasks(vvals, width)
 	if opt.staticWindows {

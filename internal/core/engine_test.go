@@ -51,7 +51,7 @@ func TestWayThreshold(t *testing.T) {
 	// Descending sort: {900, 500, 120, 40, 7}. Phi at lambda=80 with
 	// count 5 is floor(5/2 + 0) = 2 -> 2nd greatest element 500 -> 512.
 	xors := []uint32{40, 900, 7, 500, 120}
-	if got := wayThreshold(xors, 80); got != 512 {
+	if got := wayThreshold(xors, 80, PruneIndex); got != 512 {
 		t.Fatalf("wayThreshold = %d, want 512", got)
 	}
 	// Higher sensitivity digs deeper: lambda=100 -> phi = floor(1.25 +
@@ -60,12 +60,12 @@ func TestWayThreshold(t *testing.T) {
 	for i := range big {
 		big[i] = uint32(i + 1) // 1..64
 	}
-	loSens := wayThreshold(big, 10) // phi small -> large order statistic
-	hiSens := wayThreshold(big, 100)
+	loSens := wayThreshold(big, 10, PruneIndex) // phi small -> large order statistic
+	hiSens := wayThreshold(big, 100, PruneIndex)
 	if hiSens > loSens {
 		t.Fatalf("threshold should not rise with sensitivity: L=10 %d, L=100 %d", loSens, hiSens)
 	}
-	if got := wayThreshold(nil, 50); got != 1 {
+	if got := wayThreshold(nil, 50, PruneIndex); got != 1 {
 		t.Fatalf("empty way threshold = %d, want 1", got)
 	}
 }

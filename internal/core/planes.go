@@ -42,38 +42,39 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 	}
 	// Carve every plane workspace from one backing buffer: the whole
 	// kernel costs a single allocation even on a cold scratch.
-	need := half*width + (width + 1) + half + 2*half + width + 2*half
+	need := half*width + (width + 1) + half + width
 	sc.plane64 = grow64(sc.plane64, need)
 	buf := sc.plane64
 	sc.xplanes, buf = buf[:half*width:half*width], buf[half*width:]
 	sc.hib, buf = buf[:width+1:width+1], buf[width+1:]
 	sc.pms, buf = buf[:half:half], buf[half:]
-	sc.voters64, buf = buf[:2*half:2*half], buf[2*half:]
-	sc.cplanes, buf = buf[:width:width], buf[width:]
-	subf, subb := buf[:half:half], buf[half:2*half:2*half]
+	sc.cplanes = buf[:width:width]
 	sc.vvals = growU32(sc.vvals, half)
 
 	for d := 1; d <= half; d++ {
 		// X_d plane b: bit i = bit b of vals[i] XOR vals[i+d], the shared
-		// value set of the forward-d and backward-d ways.
+		// value set of the forward-d and backward-d ways. The planes are
+		// formed top down so hib[b] (the OR of planes b and above) builds
+		// alongside them.
 		x := sc.xplanes[(d-1)*width : d*width]
 		way := bitutil.LaneMask(n - d)
-		for b := 0; b < width; b++ {
+		hib := sc.hib
+		var above uint64
+		hib[width] = 0
+		for b := width - 1; b >= 0; b-- {
 			p := planes[b]
-			x[b] = (p ^ p>>uint(d)) & way
+			xb := (p ^ p>>uint(d)) & way
+			x[b] = xb
+			above |= xb
+			hib[b] = above
 		}
 		// The way cut-off Vval = CeilPow2(phi-th greatest XOR value) as an
 		// order statistic over popcounts: 2^j >= that value iff fewer than
 		// phi lanes hold an XOR value > 2^j, so Vval is 2^k for the
-		// smallest such k. gt is built incrementally from a suffix OR of
+		// smallest such k. gt is built incrementally from the suffix OR of
 		// the planes above j (any higher bit set => > 2^j) and a running OR
 		// of the planes below j (bit j plus any lower bit => > 2^j).
 		phi := phiOf(lambda, n-d)
-		hib := sc.hib
-		hib[width] = 0
-		for b := width - 1; b >= 0; b-- {
-			hib[b] = hib[b+1] | x[b]
-		}
 		var lo, pm uint64
 		k := width
 		for j := 0; j < width; j++ {
@@ -115,17 +116,6 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 		opt.stats.WindowCBit = width - bitutil.OnesCount32(lsbMask)
 	}
 
-	// Prune in place: a pruned voter keeps voting with value 0 (killing
-	// unanimity wherever another voter disagrees), exactly as the scalar
-	// pass appends pruned() == 0 entries.
-	for d := 1; d <= half; d++ {
-		x := sc.xplanes[(d-1)*width : d*width]
-		pm := sc.pms[d-1]
-		for b := 0; b < width; b++ {
-			x[b] &= pm
-		}
-	}
-
 	// Eligibility: the scalar pass skips lanes with fewer than two
 	// consultable neighbors. Count voter presence with two sequential
 	// accumulators (a1 = >=1 voter, a2 = >=2 voters).
@@ -137,34 +127,40 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 		a1 |= pf
 		a2 |= a1 & pb
 		a1 |= pb
-		subf[d-1] = ^pf
-		subb[d-1] = ^pb
 	}
 	eligible := a2 & bitutil.LaneMask(n)
 
 	// Vote plane by plane. Lane i's forward-d voter is X_d at lane i, its
-	// backward-d voter X_d at lane i-d (the word shifted up by d). Lanes
-	// where a voter does not exist are substituted with all-ones so absence
-	// never vetoes the AND and never counts toward the leave-one-out zero
-	// tally — the word vote then equals the scalar vote over the present
-	// voters only.
-	vw := sc.voters64
+	// backward-d voter X_d at lane i-d (the word shifted up by d). A
+	// pruned voter keeps voting with value 0 (killing unanimity wherever
+	// another voter disagrees), exactly as the scalar pass appends
+	// pruned() == 0 entries. Lanes where a voter does not exist are
+	// substituted with all-ones so absence never vetoes the AND and never
+	// counts toward the leave-one-out zero tally — the word vote then
+	// equals the scalar vote over the present voters only.
 	var anyC uint64
 	for b := 0; b < width; b++ {
-		sc.cplanes[b] = 0
-		if lsbMask>>uint(b)&1 == 0 {
-			continue
+		var c uint64
+		if lsbMask>>uint(b)&1 == 1 {
+			// Fold the 2*half voter words f, k in as they are formed:
+			// and is the unanimity vote, and zero1/zero2 mark lanes where
+			// at least one/two voters hold a 0, so ^zero2 is the
+			// leave-one-out quorum (at least all but one voters agree).
+			and, zero1, zero2 := ^uint64(0), uint64(0), uint64(0)
+			for d := 1; d <= half; d++ {
+				xb := sc.xplanes[(d-1)*width+b] & sc.pms[d-1]
+				pf := bitutil.LaneMask(n - d)
+				f, k := xb|^pf, xb<<uint(d)|^(pf<<uint(d))
+				and &= f & k
+				zero2 |= zero1&^f | (zero1|^f)&^k
+				zero1 |= ^f | ^k
+			}
+			c = and
+			if msbMask>>uint(b)&1 == 1 {
+				c |= ^zero2
+			}
+			c &= eligible
 		}
-		for d := 1; d <= half; d++ {
-			xb := sc.xplanes[(d-1)*width+b]
-			vw[2*(d-1)] = xb | subf[d-1]
-			vw[2*(d-1)+1] = xb<<uint(d) | subb[d-1]
-		}
-		c := bitutil.VoteWords(vw)
-		if msbMask>>uint(b)&1 == 1 {
-			c |= bitutil.LeaveOneOutANDWords(vw)
-		}
-		c &= eligible
 		sc.cplanes[b] = c
 		anyC |= c
 	}
@@ -173,22 +169,12 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 
 // planeAccept applies the carry-propagation guard (and correction stats)
 // to the candidate correction c at lane i against the scalar series vals,
-// returning c if accepted and 0 if vetoed. The neighbor set and guard are
-// byte-for-byte the scalar pass's (engine.go); only the candidate
-// discovery differs.
+// returning c if accepted and 0 if vetoed. The guard and its neighbor
+// median are the scalar pass's (engine.go); only the candidate discovery
+// differs.
 func planeAccept(sc *VoteScratch, vals []uint32, i, half int, c uint32, opt voteOptions) uint32 {
-	n := len(vals)
-	neigh := sc.neigh[:0]
-	for d := 1; d <= half; d++ {
-		if i+d < n {
-			neigh = append(neigh, vals[i+d])
-		}
-		if i-d >= 0 {
-			neigh = append(neigh, vals[i-d])
-		}
-	}
 	if !opt.disableCarryGuard {
-		med := medianU32(neigh)
+		med := neighborMedianU32(sc, vals, i, half)
 		before, after := dist32(vals[i], med), dist32(vals[i]^c, med)
 		if after > before || before-after < c/2 {
 			if opt.stats != nil {
@@ -203,6 +189,29 @@ func planeAccept(sc *VoteScratch, vals []uint32, i, half int, c uint32, opt vote
 		opt.stats.BitsWindowB += bitutil.OnesCount32(c & sc.planeLSB &^ sc.planeMSB)
 	}
 	return c
+}
+
+// neighborMedianU32 returns the lower median of the neighbors lane i
+// consults, the value medianU32 returns for the scalar pass's neighbor
+// list. Lanes with all four neighbors of the default Upsilon = 4 take a
+// min/max network in registers instead of building and sorting the list;
+// equal uint32 values are identical, so the network needs no tie rule.
+func neighborMedianU32(sc *VoteScratch, vals []uint32, i, half int) uint32 {
+	n := len(vals)
+	if half == 2 && i >= 2 && i+2 < n {
+		a, b, c, d := vals[i+1], vals[i-1], vals[i+2], vals[i-2]
+		return min(max(min(a, b), min(c, d)), max(a, b), max(c, d))
+	}
+	neigh := sc.neigh[:0]
+	for d := 1; d <= half; d++ {
+		if i+d < n {
+			neigh = append(neigh, vals[i+d])
+		}
+		if i-d >= 0 {
+			neigh = append(neigh, vals[i-d])
+		}
+	}
+	return medianU32(neigh)
 }
 
 // correctTemporalPlanes is the plane-major voter pass over a scalar
@@ -238,10 +247,19 @@ func correctTemporalPlanes(sc *VoteScratch, vals []uint32, upsilon, lambda, widt
 	if cap(sc.neigh) < upsilon {
 		sc.neigh = make([]uint32, 0, upsilon)
 	}
+	// Scatter the candidate planes into the zeroed corr one set bit at a
+	// time (bit b of corr[i] is bit i of cplanes[b]): one step per
+	// candidate bit rather than LaneValue's width steps per candidate
+	// lane. Lanes at or above n hold no candidates (planeVote masks them
+	// out).
+	for b, p := range sc.cplanes[:width] {
+		for ; p != 0; p &= p - 1 {
+			corr[bits.TrailingZeros64(p)] |= 1 << uint(b)
+		}
+	}
 	for m := anyC; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		c := bitutil.LaneValue(sc.cplanes[:width], i)
-		corr[i] = planeAccept(sc, vals, i, half, c, opt)
+		corr[i] = planeAccept(sc, vals, i, half, corr[i], opt)
 	}
 	return corr
 }

@@ -75,12 +75,12 @@ func diffOTIS(t *testing.T, cfg OTISConfig, src *dataset.Cube) {
 	}
 }
 
-// TestProcessCubeTilePlanesMatchesScalar is the OTIS differential gate:
-// spectral plane voting must be bit-identical to the scalar kernel across
-// geometries, sensitivities and guard settings — including cubes holding
-// NaN, Inf and bit-flipped payloads. The spatial vote has only the scalar
-// tile kernel, so there is nothing to diff.
-func TestProcessCubeTilePlanesMatchesScalar(t *testing.T) {
+// TestProcessCubeSpectralPlanesMatchesScalar is the OTIS differential
+// gate: spectral plane voting must be bit-identical to the scalar kernel
+// across geometries, sensitivities and guard settings — including cubes
+// holding NaN, Inf and bit-flipped payloads. The spatial vote has only the
+// scalar tile kernel, so TestAlgoOTISGolden pins it instead.
+func TestProcessCubeSpectralPlanesMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	wavelengths := []float64{8e-6, 9e-6, 10e-6, 11e-6, 12e-6, 13e-6, 14e-6, 15e-6}
 	geoms := []struct{ w, h, bands int }{

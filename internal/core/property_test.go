@@ -52,7 +52,7 @@ func TestPropertyCorrectionsRespectWindowC(t *testing.T) {
 		for i := range xors2 {
 			xors2[i] = vals[i] ^ vals[i+2]
 		}
-		vv := []uint32{wayThreshold(xors1, lambda), wayThreshold(xors2, lambda)}
+		vv := []uint32{wayThreshold(xors1, lambda, PruneIndex), wayThreshold(xors2, lambda, PruneIndex)}
 		lsbMask, _ := windowMasks(vv, 16)
 
 		corr := correctTemporal(vals, 4, lambda, 16)

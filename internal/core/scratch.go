@@ -25,8 +25,6 @@ type VoteScratch struct {
 	wayBuf []uint32
 	// vvals holds the per-way pruning cut-offs.
 	vvals []uint32
-	// sortBuf is the descending-sort workspace of wayThresholdBuf.
-	sortBuf []uint32
 	// phis and neigh collect one pixel's surviving voters and consulted
 	// neighbor values.
 	phis, neigh []uint32
@@ -51,8 +49,6 @@ type VoteScratch struct {
 	hib []uint64
 	// pms holds the per-way prune keep-masks.
 	pms []uint64
-	// voters64 holds the substituted voter words of one bit plane.
-	voters64 []uint64
 	// cplanes holds the candidate correction planes of one pixel.
 	cplanes []uint64
 	// planeLSB and planeMSB stash the window masks of the most recent

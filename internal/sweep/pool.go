@@ -27,6 +27,10 @@ import (
 // poolFaultAxis is the per-tile failure probability of the crashy worker.
 var poolFaultAxis = []float64{0, 0.25, 0.5, 1}
 
+// poolBreakerThreshold is the flight pool's circuit breaker trip point:
+// this many consecutive failures quarantine a worker.
+const poolBreakerThreshold = 2
+
 // PoolSweepConfig parameterizes the worker-fault sweep.
 type PoolSweepConfig struct {
 	// Trials is the number of baselines submitted per measured point; they
@@ -64,14 +68,23 @@ func (c PoolSweepConfig) Validate() error {
 	case c.TileSize <= 0:
 		return fmt.Errorf("sweep: tile size must be positive, got %d", c.TileSize)
 	}
-	return c.Scene.Validate()
+	if err := c.Scene.Validate(); err != nil {
+		return err
+	}
+	// At pf = 1 each held healthy worker parks one tile (see holdGate), so
+	// the crashy node only sees tiles if a point has more than Workers.
+	if tiles := c.Trials * (c.Scene.Width / c.TileSize) * (c.Scene.Height / c.TileSize); tiles <= c.Workers {
+		return fmt.Errorf("sweep: %d tiles per point cannot reach the crashy node past %d healthy workers", tiles, c.Workers)
+	}
+	return nil
 }
 
 // crashyWorker fails each tile with a seeded probability, standing in for
-// a flaky slave node.
+// a flaky slave node. Each tile it sees counts down hold, when set.
 type crashyWorker struct {
 	inner cluster.Worker
 	prob  float64
+	hold  *holdGate
 
 	mu  sync.Mutex
 	src *rng.Source
@@ -81,8 +94,71 @@ func (w *crashyWorker) ProcessTile(ctx context.Context, t dataset.Tile) (cluster
 	w.mu.Lock()
 	roll := w.src.Float64()
 	w.mu.Unlock()
+	if w.hold != nil {
+		w.hold.seen()
+	}
 	if roll < w.prob {
 		return cluster.TileResult{}, errors.New("sweep: injected worker crash")
+	}
+	return w.inner.ProcessTile(ctx, t)
+}
+
+// holdGate keeps the healthy workers off the tiles at the pf = 1 point
+// until the crashy node has failed poolBreakerThreshold of them. The pool
+// hands each tile to whichever runner is free, so without the gate an
+// unlucky schedule lets the healthy workers take every tile and the
+// always-failing node never trips its circuit. While the gate is shut,
+// each healthy worker parks one tile; the crashy node's failures requeue
+// the rest to it, as only it is free.
+type holdGate struct {
+	mu   sync.Mutex
+	left int
+	open chan struct{}
+}
+
+// shut closes the gate until n tiles have been seen.
+func (g *holdGate) shut(n int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.left, g.open = n, make(chan struct{})
+}
+
+// seen counts one crashy-node tile, opening the gate on the last one.
+func (g *holdGate) seen() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.left > 0 {
+		if g.left--; g.left == 0 {
+			close(g.open)
+		}
+	}
+}
+
+// wait blocks while the gate is shut.
+func (g *holdGate) wait(ctx context.Context) error {
+	g.mu.Lock()
+	open := g.open
+	g.mu.Unlock()
+	if open == nil {
+		return nil
+	}
+	select {
+	case <-open:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// heldWorker is a healthy node that passes its gate before each tile.
+type heldWorker struct {
+	inner cluster.Worker
+	hold  *holdGate
+}
+
+func (w heldWorker) ProcessTile(ctx context.Context, t dataset.Tile) (cluster.TileResult, error) {
+	if err := w.hold.wait(ctx); err != nil {
+		return cluster.TileResult{}, err
 	}
 	return w.inner.ProcessTile(ctx, t)
 }
@@ -112,18 +188,19 @@ func FigPool(cfg PoolSweepConfig, seed uint64) (*Result, error) {
 	}
 	pool, err := cluster.NewPool(
 		cluster.WithPoolTileSize(cfg.TileSize),
-		cluster.WithBreaker(2, time.Millisecond, 10*time.Millisecond),
+		cluster.WithBreaker(poolBreakerThreshold, time.Millisecond, 10*time.Millisecond),
 		cluster.WithPoolTelemetry(reg))
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Close()
+	hold := new(holdGate)
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newLocal()
 		if err != nil {
 			return nil, err
 		}
-		pool.AddWorker(w)
+		pool.AddWorker(heldWorker{inner: w, hold: hold})
 	}
 	// The fault-free comparator pool is built once and reused across every
 	// point, exactly like the mission layer's reference pool.
@@ -149,6 +226,10 @@ func FigPool(cfg PoolSweepConfig, seed uint64) (*Result, error) {
 			return nil, err
 		}
 		crashy := &crashyWorker{inner: inner, prob: pf, src: rng.NewStream(seed, uint64(pi)*997)}
+		if pf >= 1 {
+			hold.shut(poolBreakerThreshold)
+			crashy.hold = hold
+		}
 		id := pool.AddWorker(crashy)
 		opensBefore := reg.Snapshot().Counters["pipeline_pool_circuit_open_total"]
 

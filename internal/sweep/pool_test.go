@@ -39,6 +39,9 @@ func TestPoolSweepConfigValidate(t *testing.T) {
 		func(c *PoolSweepConfig) { c.Trials = 0 },
 		func(c *PoolSweepConfig) { c.Workers = 0 },
 		func(c *PoolSweepConfig) { c.TileSize = -1 },
+		// One 64x64 tile per point: the three held healthy workers would
+		// park it and the crashy node would never see a tile.
+		func(c *PoolSweepConfig) { c.Trials, c.TileSize = 1, 64 },
 	} {
 		bad := DefaultPoolSweepConfig()
 		mutate(&bad)
