@@ -65,9 +65,10 @@ bench-compare:
 # fuzz-smoke gives every fuzz target a short budget of fresh inputs on
 # top of the seeded corpus the normal test run replays: the plane-kernel
 # differential fuzzers, the way-threshold histogram against its sort
-# reference, the permutation bijectivity fuzzer, the campaign
-# site enumerator, the codec/parser fuzzers, and the budgeted gob receive
-# both network ports read through. FUZZTIME scales the
+# reference, the integer-exact cosmic-ray integrators against their
+# sort-based float64 reference, the permutation bijectivity fuzzer, the
+# campaign site enumerator, the codec/parser fuzzers, and the budgeted gob
+# receive both network ports read through. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneTemporal$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneStack$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWayThreshold$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzIntegrateSeries$$' -fuzztime $(FUZZTIME) ./internal/crreject
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice

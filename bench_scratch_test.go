@@ -125,3 +125,44 @@ func BenchmarkPipelineRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCRIntegrate measures cosmic-ray rejection, the stage after the
+// voter in every worker tile: a 128x128 tile repaired by AlgoNGST, then
+// integrated by Integrate (stationary readouts) or IntegrateRamp (an
+// accumulating ramp) at the serve path's 16 and the paper's 64 readouts.
+func BenchmarkCRIntegrate(b *testing.B) {
+	pre, err := spaceproc.NewAlgoNGST(spaceproc.DefaultNGSTConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rej, err := spaceproc.NewCRRejector(spaceproc.DefaultCRConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		mode      spaceproc.ReadoutMode
+		integrate func(*spaceproc.Stack) (*spaceproc.Image, spaceproc.CRStats)
+	}{
+		{"Integrate", spaceproc.StationaryReadouts, rej.Integrate},
+		{"Ramp", spaceproc.RampReadouts, rej.IntegrateRamp},
+	} {
+		for _, readouts := range []int{16, 64} {
+			cfg := spaceproc.DefaultSceneConfig()
+			cfg.Mode = tc.mode
+			cfg.Readouts = readouts
+			scene, err := spaceproc.NewScene(cfg, spaceproc.NewRNG(30))
+			if err != nil {
+				b.Fatal(err)
+			}
+			stack := scene.Observed.Clone()
+			spaceproc.ProcessStackWith(pre, stack)
+			b.Run(fmt.Sprintf("%s%d", tc.name, readouts), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tc.integrate(stack)
+				}
+			})
+		}
+	}
+}

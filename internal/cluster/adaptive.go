@@ -137,7 +137,8 @@ func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveWorker, error) {
 // LastLambda returns the sensitivity used for the most recent tile.
 func (w *AdaptiveWorker) LastLambda() int { return int(w.lastLambda.Load()) }
 
-// ProcessTile implements Worker.
+// ProcessTile implements Worker. Like LocalWorker's, it polls
+// cancellation between pixel chunks of both passes.
 func (w *AdaptiveWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
 	if t.Stack == nil || t.Stack.Len() == 0 {
 		return TileResult{}, fmt.Errorf("cluster: empty tile")
@@ -152,19 +153,17 @@ func (w *AdaptiveWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileR
 		w.lambdaGauge.Set(float64(lambda))
 		w.tilesSeen.Inc()
 	}
-	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
+	var pre core.SeriesPreprocessor
 	if lambda > 0 {
-		pre, err := core.NewAlgoNGST(core.NGSTConfig{Upsilon: w.cfg.Upsilon, Sensitivity: lambda})
+		algo, err := core.NewAlgoNGST(core.NGSTConfig{Upsilon: w.cfg.Upsilon, Sensitivity: lambda})
 		if err != nil {
 			return TileResult{}, err
 		}
-		if err := preprocess(ctx, pre, t.Stack, 1, &res.PreStats); err != nil {
-			return TileResult{}, err
-		}
+		pre = algo
 	}
-	if err := ctx.Err(); err != nil {
+	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
+	if err := preprocess(ctx, pre, w.rej, t.Stack, 1, &res); err != nil {
 		return TileResult{}, err
 	}
-	res.Image, res.Stats = w.rej.Integrate(t.Stack)
 	return res, nil
 }

@@ -55,8 +55,8 @@ type TileResult struct {
 type Worker interface {
 	// ProcessTile preprocesses and integrates a tile. Implementations
 	// honor ctx cancellation and deadlines: the in-process workers poll
-	// ctx between row passes, and the TCP transport propagates the
-	// deadline to the remote node.
+	// ctx between pixel chunks of both passes, and the TCP transport
+	// propagates the deadline to the remote node.
 	ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error)
 }
 
@@ -64,10 +64,11 @@ type Worker interface {
 // preprocessing over every coordinate's temporal series, then cosmic-ray
 // rejection and integration.
 //
-// Preprocessing runs the preprocessor's ProcessStackPlanes range kernel
-// through pooled per-shard scratch buffers, so the steady-state path
-// performs zero heap allocations; see WithShards for the intra-worker
-// range parallelism the pooling enables.
+// Both passes run chunk by chunk over the flattened pixel range: the
+// preprocessor's ProcessStackPlanes range kernel, then the rejector's
+// IntegrateRange on the same chunk, through pooled per-shard scratch
+// buffers, so the steady-state path allocates only the output image; see
+// WithShards for the intra-worker range parallelism the pooling enables.
 type LocalWorker struct {
 	pre    core.SeriesPreprocessor // nil disables preprocessing
 	rej    *crreject.Rejector
@@ -81,13 +82,13 @@ type LocalWorkerOption func(*LocalWorker)
 
 // WithShards sets the worker's intra-tile parallelism: the tile's
 // flattened pixel range is split across n goroutines on 64-pixel word
-// boundaries (the plane-major gather granularity), each with its own
-// scratch and stats collector. n is clamped to [1, GOMAXPROCS]; passing 0
-// selects GOMAXPROCS (auto). The default of 1 preserves the classic
-// one-goroutine-per-tile behavior, which is right when the master already
-// runs one goroutine per worker across many workers; shards help when a
-// deployment runs few workers on many cores and single-tile latency
-// matters.
+// boundaries (the plane-major gather granularity), each preprocessing and
+// integrating its own range with its own scratch and stats collectors. n
+// is clamped to [1, GOMAXPROCS]; passing 0 selects GOMAXPROCS (auto).
+// The default of 1 preserves the classic one-goroutine-per-tile
+// behavior, which is right when the master already runs one goroutine
+// per worker across many workers; shards help when a deployment runs few
+// workers on many cores and single-tile latency matters.
 func WithShards(n int) LocalWorkerOption {
 	return func(w *LocalWorker) { w.shards = n }
 }
@@ -113,54 +114,53 @@ func NewLocalWorker(pre core.SeriesPreprocessor, rejCfg crreject.Config, opts ..
 func (w *LocalWorker) Shards() int { return w.shards }
 
 // ProcessTile implements Worker. Cancellation is polled between pixel
-// chunks, so an abandoned tile stops within one chunk's work.
+// chunks of both the vote and the integration, so an abandoned tile stops
+// within one chunk's work.
 func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
 	if t.Stack == nil || t.Stack.Len() == 0 {
 		return TileResult{}, errors.New("cluster: empty tile")
 	}
-	if err := ctx.Err(); err != nil {
-		return TileResult{}, err
-	}
 	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
-	if w.pre != nil {
-		if err := preprocess(ctx, w.pre, t.Stack, w.shards, &res.PreStats); err != nil {
-			return TileResult{}, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	if err := preprocess(ctx, w.pre, w.rej, t.Stack, w.shards, &res); err != nil {
 		return TileResult{}, err
 	}
-	res.Image, res.Stats = w.rej.Integrate(t.Stack)
 	return res, nil
 }
 
-// scratchPool holds *core.VoteScratch values: one is checked out per tile
-// (per shard, when sharded), so workers reuse warm buffers across every
-// tile they process while staying safe for concurrent callers.
-var scratchPool = sync.Pool{New: func() any { return core.NewVoteScratch() }}
+// shardScratch is the warm workspace one shard checks out of scratchPool
+// per tile: the vote kernel's and the rejector's. Workers reuse warm
+// buffers across every tile they process while staying safe for
+// concurrent callers.
+type shardScratch struct {
+	vote *core.VoteScratch
+	cr   crreject.Scratch
+}
 
-// preprocess runs pre over the whole stack, splitting the flattened pixel
-// index space across up to shards goroutines on 64-pixel word boundaries,
-// the gather granularity of the plane-major kernels — so bit-sliced words
-// never straddle a shard seam and the sharded pass stays bit-identical to
-// the sequential one. Each shard checks a warm scratch out of the pool and
-// accumulates into its own VoteStats; the shard stats merge into agg in
-// shard order when every shard is done. Series at distinct coordinates
-// are independent and shards own disjoint pixel ranges, so no
-// synchronization beyond the final join is needed.
-func preprocess(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Stack, shards int, agg *core.VoteStats) error {
-	npix := s.Width() * s.Height()
-	if npix == 0 {
-		return nil
-	}
+var scratchPool = sync.Pool{New: func() any { return &shardScratch{vote: core.NewVoteScratch()} }}
+
+// preprocess repairs the stack with pre (nil skips the vote) and
+// integrates it with rej into res.Image, res.Stats and res.PreStats,
+// splitting the flattened pixel index space across up to shards
+// goroutines on 64-pixel word boundaries, the gather granularity of the
+// plane-major kernels — so bit-sliced words never straddle a shard seam
+// and the sharded pass stays bit-identical to the sequential one. Each
+// shard checks a warm scratch out of the pool and accumulates into its
+// own stats; the shard stats merge into res in shard order when every
+// shard is done. Series at distinct coordinates are independent and
+// shards own disjoint pixel ranges, so no synchronization beyond the
+// final join is needed.
+func preprocess(ctx context.Context, pre core.SeriesPreprocessor, rej *crreject.Rejector, s *dataset.Stack, shards int, res *TileResult) error {
+	res.Image = dataset.NewImage(s.Width(), s.Height())
+	npix := len(res.Image.Pix)
 	words := (npix + 63) / 64
 	shards = min(shards, words)
 	if shards <= 1 {
-		return processRange(ctx, pre, s, 0, npix, agg)
+		return processRange(ctx, pre, rej, s, 0, npix, res.Image, &res.PreStats, &res.Stats)
 	}
 	wordsPer := (words + shards - 1) / shards
 	errs := make([]error, shards)
-	stats := make([]core.VoteStats, shards)
+	votes := make([]core.VoteStats, shards)
+	crs := make([]crreject.Stats, shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		p0 := i * wordsPer * 64
@@ -171,12 +171,13 @@ func preprocess(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Sta
 		wg.Add(1)
 		go func(i, p0, p1 int) {
 			defer wg.Done()
-			errs[i] = processRange(ctx, pre, s, p0, p1, &stats[i])
+			errs[i] = processRange(ctx, pre, rej, s, p0, p1, res.Image, &votes[i], &crs[i])
 		}(i, p0, p1)
 	}
 	wg.Wait()
-	for i := range stats {
-		agg.Add(stats[i])
+	for i := range votes {
+		res.PreStats.Add(votes[i])
+		res.Stats.Add(crs[i])
 	}
 	return errors.Join(errs...)
 }
@@ -184,21 +185,29 @@ func preprocess(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Sta
 // rangeChunk is the cancellation granularity inside a shard: processRange
 // polls ctx between chunks of this many pixels, comparable to a handful
 // of classic 128-wide row passes, so an abandoned tile still stops
-// promptly without a ctx check on every pixel.
+// promptly without a ctx check on every pixel. It is a multiple of the
+// 64-pixel gather word.
 const rangeChunk = 4096
 
-// processRange repairs the flattened coordinate range [p0, p1) of s with
-// one ProcessStackPlanes call per chunk, through a scratch checked out of
-// the pool. The kernel writes only pixels inside the range, so disjoint
-// ranges run concurrently.
-func processRange(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Stack, p0, p1 int, stats *core.VoteStats) error {
-	sc := scratchPool.Get().(*core.VoteScratch)
+// processRange repairs and integrates the flattened coordinate range
+// [p0, p1) of s into out, one chunk at a time through a scratch checked
+// out of the pool: a ProcessStackPlanes call (skipped when pre is nil)
+// and then an IntegrateRange call on the same chunk. Both read and write
+// only pixels inside their range, so each chunk is integrated from its
+// final repaired readouts and disjoint ranges run concurrently. The two
+// stay separate calls so a wrapped kernel can time the vote alone.
+func processRange(ctx context.Context, pre core.SeriesPreprocessor, rej *crreject.Rejector, s *dataset.Stack, p0, p1 int, out *dataset.Image, vote *core.VoteStats, cr *crreject.Stats) error {
+	sc := scratchPool.Get().(*shardScratch)
 	defer scratchPool.Put(sc)
 	for q0 := p0; q0 < p1; q0 += rangeChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pre.ProcessStackPlanes(s, q0, min(q0+rangeChunk, p1), sc, stats)
+		q1 := min(q0+rangeChunk, p1)
+		if pre != nil {
+			pre.ProcessStackPlanes(s, q0, q1, sc.vote, vote)
+		}
+		rej.IntegrateRange(s, q0, q1, out, &sc.cr, cr)
 	}
 	return nil
 }

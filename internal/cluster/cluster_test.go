@@ -292,6 +292,53 @@ func TestRunContextCompletesWhenNotCancelled(t *testing.T) {
 	}
 }
 
+// pollBudgetCtx is a context whose Err turns context.Canceled once its
+// first polls are spent, so a test can cancel a tile at a chosen poll
+// without racing a timer.
+type pollBudgetCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollBudgetCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestProcessTileCancelsDuringIntegration is the regression test for the
+// uncancellable integration phase: the workers used to poll ctx only
+// before integrating, then ran the whole tile's cosmic-ray rejection
+// blind. With no preprocessor the tile is integration alone, so a
+// context that cancels after two polls must stop a 128x128 tile (four
+// chunks) part way instead of returning a full result.
+func TestProcessTileCancelsDuringIntegration(t *testing.T) {
+	cfg := synth.DefaultSceneConfig()
+	cfg.Readouts = 16
+	sc, err := synth.NewScene(cfg, rng.New(57))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := DefaultAdaptiveConfig(testModel()) // zero budget: Lambda 0, no vote
+	aw, err := NewAdaptive(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]Worker{"local": lw, "adaptive": aw} {
+		ctx := &pollBudgetCtx{Context: context.Background()}
+		ctx.left.Store(2)
+		res, err := w.ProcessTile(ctx, dataset.Tile{Stack: sc.Observed.Clone()})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: ProcessTile = (image %v, %v), want context.Canceled mid-integration", name, res.Image != nil, err)
+		}
+	}
+}
+
 func TestLocalWorkerRejectsEmptyTile(t *testing.T) {
 	w, err := NewLocalWorker(nil, crreject.DefaultConfig())
 	if err != nil {

@@ -503,8 +503,7 @@ func (sub *submission) finalize() {
 		blitSpan := p.tel.StartSpan(StageBlit, fmt.Sprintf("tile_%d", res.Index))
 		blit(out.Image, res)
 		blitSpan.End()
-		out.Stats.Hits += res.Stats.Hits
-		out.Stats.Steps += res.Stats.Steps
+		out.Stats.Add(res.Stats)
 		out.PreStats.Add(res.PreStats)
 		count++
 	}

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spaceproc/internal/core"
 	"spaceproc/internal/crreject"
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/fault"
+	"spaceproc/internal/rng"
+	"spaceproc/internal/synth"
 	"spaceproc/internal/telemetry"
 )
 
@@ -210,10 +214,11 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := scene.Observed.Clone()
-			var gotStats core.VoteStats
-			if err := preprocess(context.Background(), tc.plane, got, w.Shards(), &gotStats); err != nil {
+			var res TileResult
+			if err := preprocess(context.Background(), tc.plane, w.rej, got, w.Shards(), &res); err != nil {
 				t.Fatal(err)
 			}
+			gotStats := res.PreStats
 			want := scene.Observed.Clone()
 			var wantStats core.VoteStats
 			var ser dataset.Series
@@ -244,6 +249,74 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 				wantStats.BitsWindowB != gotStats.BitsWindowB ||
 				wantStats.GuardRejected != gotStats.GuardRejected {
 				t.Fatalf("stats scalar %+v sharded-plane %+v", wantStats, gotStats)
+			}
+		})
+	}
+}
+
+// TestShardedTileMatchesIntegrate is the integration half of the
+// sharded-equals-sequential gate: a tile whose vote and integration run
+// interleaved chunk by chunk, across uneven shards that each span more
+// than one chunk, must produce the image and Stats of a whole-stack
+// ProcessStackWith followed by Rejector.Integrate. LocalWorker runs three
+// shards; AdaptiveWorker runs the same loop in one.
+func TestShardedTileMatchesIntegrate(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	cfg := synth.DefaultSceneConfig() // 128x128: 256 words, 86+86+84 per shard
+	cfg.Readouts = 16
+	scene, err := synth.NewScene(cfg, rng.New(78))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := scene.Observed
+	fault.Uncorrelated{Gamma0: 0.01}.InjectStack(observed, rng.New(79))
+	rej, err := crreject.New(crreject.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ngst, err := core.NewAlgoNGST(core.DefaultNGSTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := NewLocalWorker(ngst, crreject.DefaultConfig(), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := DefaultAdaptiveConfig(testModel())
+	acfg.Budget = 13000 * float64(cfg.Width*cfg.Height) // fits Lambda 80, not 100
+	aw, err := NewAdaptive(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apre, err := core.NewAlgoNGST(core.NGSTConfig{Upsilon: acfg.Upsilon, Sensitivity: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		w    Worker
+		pre  core.SeriesPreprocessor
+	}{
+		{"local", lw, ngst},
+		{"adaptive", aw, apre},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := observed.Clone()
+			core.ProcessStackWith(tc.pre, want)
+			wantImg, wantStats := rej.Integrate(want)
+			if wantStats.Hits == 0 {
+				t.Fatal("scene produced no cosmic-ray hits to reject")
+			}
+			got, err := tc.w.ProcessTile(context.Background(), dataset.Tile{Stack: observed.Clone()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Image.Pix, wantImg.Pix) {
+				t.Fatal("sharded tile image differs from ProcessStackWith + Integrate")
+			}
+			if got.Stats != wantStats {
+				t.Fatalf("sharded tile stats %+v, ProcessStackWith + Integrate %+v", got.Stats, wantStats)
 			}
 		})
 	}

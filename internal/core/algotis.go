@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/bits"
-	"slices"
 
 	"spaceproc/internal/bitutil"
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/orderstat"
 	"spaceproc/internal/physics"
 	"spaceproc/internal/telemetry"
 )
@@ -664,56 +663,5 @@ func medianAbs(vals []float64, sc *CubeScratch) float64 {
 	for i, v := range vals {
 		abs[i] = math.Abs(v)
 	}
-	return selectNth(abs, (len(abs)-1)/2)
-}
-
-// selectNth returns the k-th smallest element of the NaN-free vals,
-// reordering vals in place: Hoare partitioning around a median-of-three
-// pivot, narrowing to the side that holds k, in expected linear time. A
-// partition budget of twice the bit length of len(vals) bounds the worst
-// case; a range that exhausts it is finished with a sort.
-func selectNth(vals []float64, k int) float64 {
-	lo, hi := 0, len(vals)-1
-	for budget := 2 * bits.Len(uint(len(vals))); lo < hi; budget-- {
-		if budget == 0 {
-			slices.Sort(vals[lo : hi+1])
-			break
-		}
-		mid := lo + (hi-lo)/2
-		if vals[mid] < vals[lo] {
-			vals[mid], vals[lo] = vals[lo], vals[mid]
-		}
-		if vals[hi] < vals[lo] {
-			vals[hi], vals[lo] = vals[lo], vals[hi]
-		}
-		if vals[hi] < vals[mid] {
-			vals[hi], vals[mid] = vals[mid], vals[hi]
-		}
-		pivot := vals[mid]
-		i, j := lo, hi
-		for i <= j {
-			for vals[i] < pivot {
-				i++
-			}
-			for vals[j] > pivot {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
-		}
-		// Now vals[lo..j] <= pivot <= vals[i..hi], and everything
-		// strictly between j and i equals the pivot.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return vals[k]
-		}
-	}
-	return vals[k]
+	return orderstat.Select(abs, (len(abs)-1)/2)
 }

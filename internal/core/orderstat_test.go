@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -54,69 +53,6 @@ func FuzzWayThreshold(f *testing.F) {
 			t.Fatalf("wayThreshold(%v, L=%d, literal=%v) = %d, sort reference %d", xors, lambda, literal, got, want)
 		}
 	})
-}
-
-// TestSelectNthMatchesSort compares selection with a full sort on inputs
-// full of duplicates, zeros and +Inf, for every rank of short slices and
-// the median rank medianAbs asks for on long ones.
-func TestSelectNthMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	pools := [][]float64{
-		{0},
-		{0, 1},
-		{0, 0, 0, 2, math.Inf(1)},
-		{0, 1e-9, 1e-9, 3.5, 3.5, 3.5, math.Inf(1), math.Inf(1), 7},
-	}
-	draw := func(n, pool int) []float64 {
-		vals := make([]float64, n)
-		for i := range vals {
-			if pool < len(pools) {
-				vals[i] = pools[pool][r.Intn(len(pools[pool]))]
-			} else {
-				vals[i] = r.ExpFloat64()
-			}
-		}
-		return vals
-	}
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + r.Intn(40)
-		if trial%4 == 0 {
-			n = 1 + r.Intn(5000)
-		}
-		vals := draw(n, r.Intn(len(pools)+1))
-		want := slices.Clone(vals)
-		slices.Sort(want)
-		ranks := []int{(n - 1) / 2}
-		if n <= 40 {
-			ranks = ranks[:0]
-			for k := 0; k < n; k++ {
-				ranks = append(ranks, k)
-			}
-		}
-		for _, k := range ranks {
-			got := selectNth(slices.Clone(vals), k)
-			if math.Float64bits(got) != math.Float64bits(want[k]) {
-				t.Fatalf("selectNth(n=%d, k=%d) = %v, sorted %v", n, k, got, want[k])
-			}
-		}
-	}
-	// Sorted, reversed and constant inputs: the classic worst cases for
-	// a quickselect pivot rule.
-	for _, n := range []int{2, 3, 1000, 4097} {
-		asc := make([]float64, n)
-		for i := range asc {
-			asc[i] = float64(i)
-		}
-		desc := slices.Clone(asc)
-		slices.Reverse(desc)
-		for _, vals := range [][]float64{asc, desc, make([]float64, n)} {
-			want := slices.Clone(vals)
-			slices.Sort(want)
-			if got := selectNth(slices.Clone(vals), (n-1)/2); got != want[(n-1)/2] {
-				t.Fatalf("selectNth(n=%d) = %v, sorted %v", n, got, want[(n-1)/2])
-			}
-		}
-	}
 }
 
 // TestMedian4MatchesMedianF32 runs the four-neighbor median network over

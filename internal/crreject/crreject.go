@@ -8,15 +8,18 @@
 // readouts, so it appears as a step in the temporal series of the struck
 // coordinate. The rejector detects steps against a robust (MAD-based)
 // estimate of the readout noise, removes them, and integrates the repaired
-// series.
+// series. The estimate's two medians are int32 selections over the
+// integer readout differences, exact to the bit (see madSigma), and
+// IntegrateRange lets a worker integrate a tile range by range.
 package crreject
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/orderstat"
 )
 
 // Config parameterizes the rejector.
@@ -54,6 +57,12 @@ type Stats struct {
 	Steps int
 }
 
+// Add accumulates another integration's statistics into s.
+func (s *Stats) Add(other Stats) {
+	s.Hits += other.Hits
+	s.Steps += other.Steps
+}
+
 // Rejector integrates baselines with cosmic-ray step removal.
 type Rejector struct {
 	cfg Config
@@ -67,49 +76,80 @@ func New(cfg Config) (*Rejector, error) {
 	return &Rejector{cfg: cfg}, nil
 }
 
-// integrateScratch carries the per-series buffers of one integration pass,
-// allocated once per Integrate call and reused across every coordinate.
-type integrateScratch struct {
-	ser         dataset.Series
-	vals, diffs []float64
-	abs         []float64
+// Scratch is the per-series workspace of integration: the readout buffer
+// and the int32 readout differences the medians select over. The zero
+// value is ready to use; it grows to the stack depth on first use, so a
+// caller that keeps one per goroutine integrates without allocating.
+type Scratch struct {
+	ser        dataset.Series
+	diffs, sel []int32
 }
 
-func (sc *integrateScratch) grow(n int) {
-	if cap(sc.vals) < n {
-		sc.vals = make([]float64, n)
-		sc.diffs = make([]float64, 0, n)
-		sc.abs = make([]float64, n)
+func (sc *Scratch) grow(n int) {
+	if cap(sc.ser) < n {
+		sc.ser = make(dataset.Series, n)
+		sc.diffs = make([]int32, n)
+		sc.sel = make([]int32, n)
 	}
 }
+
+// seriesFunc integrates one temporal series, returning the value and the
+// number of steps removed.
+type seriesFunc func(*Rejector, dataset.Series, *Scratch) (uint16, int)
 
 // Integrate collapses a baseline stack into one image, removing cosmic-ray
 // steps per coordinate, and returns the image with rejection statistics.
-// All per-series working memory is reused across coordinates, so the pass
-// allocates O(1) beyond the output image.
+// It is IntegrateRange over every pixel, so the pass allocates O(1)
+// beyond the output image.
 func (r *Rejector) Integrate(s *dataset.Stack) (*dataset.Image, Stats) {
-	w, h := s.Width(), s.Height()
-	out := dataset.NewImage(w, h)
+	out := dataset.NewImage(s.Width(), s.Height())
 	var stats Stats
-	var sc integrateScratch
-	sc.grow(s.Len())
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sc.ser = s.SeriesAtBuf(x, y, sc.ser)
-			v, steps := r.integrateSeries(sc.ser, &sc)
-			out.Set(x, y, v)
-			if steps > 0 {
-				stats.Hits++
-				stats.Steps += steps
-			}
+	r.integrateRange(s, 0, len(out.Pix), out, new(Scratch), &stats, (*Rejector).integrateSeries)
+	return out, stats
+}
+
+// IntegrateRange is Integrate over the flattened coordinate range
+// [p0, p1) of s: it writes those pixels of out, which must match s's
+// dimensions, and adds the range's statistics to stats. It reads and
+// writes only pixels inside the range, so disjoint ranges of one stack
+// run concurrently, each with its own Scratch and Stats, and the ranges'
+// stats add up to Integrate's.
+func (r *Rejector) IntegrateRange(s *dataset.Stack, p0, p1 int, out *dataset.Image, sc *Scratch, stats *Stats) {
+	r.integrateRange(s, p0, p1, out, sc, stats, (*Rejector).integrateSeries)
+}
+
+// integrateRange runs f over the series of every coordinate in [p0, p1).
+func (r *Rejector) integrateRange(s *dataset.Stack, p0, p1 int, out *dataset.Image, sc *Scratch, stats *Stats, f seriesFunc) {
+	n := s.Len()
+	sc.grow(n)
+	ser := sc.ser[:n]
+	for p := p0; p < p1; p++ {
+		for i, fr := range s.Frames {
+			ser[i] = fr.Pix[p]
+		}
+		v, steps := f(r, ser, sc)
+		out.Pix[p] = v
+		if steps > 0 {
+			stats.Hits++
+			stats.Steps += steps
 		}
 	}
-	return out, stats
+}
+
+// readoutDiffs fills sc with the len(ser)-1 >= 1 readout differences of
+// ser, each an integer within +-65535, and returns them.
+func (sc *Scratch) readoutDiffs(ser dataset.Series) []int32 {
+	sc.grow(len(ser))
+	d := sc.diffs[:len(ser)-1]
+	for i := range d {
+		d[i] = int32(ser[i+1]) - int32(ser[i])
+	}
+	return d
 }
 
 // integrateSeries removes detected steps from one temporal series and
 // returns the integrated (mean) value plus the number of steps removed.
-func (r *Rejector) integrateSeries(ser dataset.Series, sc *integrateScratch) (uint16, int) {
+func (r *Rejector) integrateSeries(ser dataset.Series, sc *Scratch) (uint16, int) {
 	n := len(ser)
 	if n == 0 {
 		return 0, 0
@@ -117,38 +157,30 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *integrateScratch) (ui
 	if n == 1 {
 		return ser[0], 0
 	}
-	sc.grow(n)
-	vals := sc.vals[:n]
-	for i, v := range ser {
-		vals[i] = float64(v)
-	}
-	diffs := sc.diffs[:0]
-	for i := 1; i < n; i++ {
-		diffs = append(diffs, vals[i]-vals[i-1])
-	}
-	sigma := madSigma(diffs, sc.abs[:0])
+	diffs := sc.readoutDiffs(ser)
+	sigma, _ := madSigma(diffs, sc.sel)
 	if sigma < r.cfg.SigmaFloor {
 		sigma = r.cfg.SigmaFloor
 	}
-	// Remove steps: subtract each detected jump from all later readouts,
-	// carrying a running offset so consecutive steps are each detected
-	// against the corrected predecessor.
+	limit := r.cfg.Threshold * sigma
+	// Remove steps: subtract each detected jump from all later readouts.
+	// That leaves every later difference as it was, so a difference is a
+	// step exactly when its raw value exceeds the limit, and each
+	// corrected readout is the first plus the kept differences before
+	// it. Every value is an integer far below 2^53, so the int64 sum
+	// converts to the float64 sum exactly.
 	steps := 0
-	var offset float64
-	for i := 1; i < n; i++ {
-		vals[i] -= offset
-		d := vals[i] - vals[i-1]
-		if math.Abs(d) > r.cfg.Threshold*sigma {
-			offset += d
-			vals[i] -= d
+	v := int64(ser[0])
+	sum := v
+	for _, d := range diffs {
+		if math.Abs(float64(d)) > limit {
 			steps++
+		} else {
+			v += int64(d)
 		}
-	}
-	var sum float64
-	for _, v := range vals {
 		sum += v
 	}
-	mean := sum / float64(n)
+	mean := float64(sum) / float64(n)
 	if mean < 0 {
 		mean = 0
 	}
@@ -166,27 +198,14 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *integrateScratch) (ui
 // more than the threshold and scales the surviving mean rate back to the
 // full baseline.
 func (r *Rejector) IntegrateRamp(s *dataset.Stack) (*dataset.Image, Stats) {
-	w, h := s.Width(), s.Height()
-	out := dataset.NewImage(w, h)
+	out := dataset.NewImage(s.Width(), s.Height())
 	var stats Stats
-	var sc integrateScratch
-	sc.grow(s.Len())
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sc.ser = s.SeriesAtBuf(x, y, sc.ser)
-			v, steps := r.integrateRampSeries(sc.ser, &sc)
-			out.Set(x, y, v)
-			if steps > 0 {
-				stats.Hits++
-				stats.Steps += steps
-			}
-		}
-	}
+	r.integrateRange(s, 0, len(out.Pix), out, new(Scratch), &stats, (*Rejector).integrateRampSeries)
 	return out, stats
 }
 
 // integrateRampSeries estimates total accumulated charge for one ramp.
-func (r *Rejector) integrateRampSeries(ser dataset.Series, sc *integrateScratch) (uint16, int) {
+func (r *Rejector) integrateRampSeries(ser dataset.Series, sc *Scratch) (uint16, int) {
 	n := len(ser)
 	if n == 0 {
 		return 0, 0
@@ -194,36 +213,30 @@ func (r *Rejector) integrateRampSeries(ser dataset.Series, sc *integrateScratch)
 	if n == 1 {
 		return ser[0], 0
 	}
-	sc.grow(n)
-	diffs := sc.diffs[:0]
-	for i := 1; i < n; i++ {
-		diffs = append(diffs, float64(ser[i])-float64(ser[i-1]))
-	}
-	// The median reorders its input, so rank a copy (sc.vals doubles as
-	// the copy buffer) and keep diffs in readout order for the pass below.
-	medBuf := sc.vals[:len(diffs)]
-	copy(medBuf, diffs)
-	med := medianInPlace(medBuf)
-	sigma := madSigma(diffs, sc.abs[:0])
+	diffs := sc.readoutDiffs(ser)
+	sigma, med2 := madSigma(diffs, sc.sel)
 	if sigma < r.cfg.SigmaFloor {
 		sigma = r.cfg.SigmaFloor
 	}
-	var sum float64
+	limit := r.cfg.Threshold * sigma
+	var sum int64
 	var kept, steps int
 	for _, d := range diffs {
-		if math.Abs(d-med) > r.cfg.Threshold*sigma {
+		// |2d - med2| / 2 is the deviation from the median rate, a
+		// half-integer held exactly.
+		if 0.5*float64(abs32(2*d-med2)) > limit {
 			steps++
 			continue
 		}
-		sum += d
+		sum += int64(d)
 		kept++
 	}
 	if kept == 0 {
-		// Every difference rejected: fall back to the raw last-minus-
-		// first estimate.
-		return clampCharge(float64(ser[n-1]) - float64(ser[0]) + float64(ser[0])), steps
+		// Every difference rejected: fall back to the raw last readout
+		// (the first plus the last-minus-first estimate).
+		return ser[n-1], steps
 	}
-	rate := sum / float64(kept)
+	rate := float64(sum) / float64(kept)
 	// Total charge = first readout plus the rate across the remaining
 	// n-1 intervals (the first readout already holds one interval).
 	total := float64(ser[0]) + rate*float64(n-1)
@@ -240,27 +253,42 @@ func clampCharge(v float64) uint16 {
 	return uint16(v + 0.5)
 }
 
-// madSigma estimates the standard deviation of diffs as 1.4826 * MAD,
-// robust to the steps themselves. buf is workspace (grown as needed);
-// diffs is left untouched.
-func madSigma(diffs, buf []float64) float64 {
-	if len(diffs) == 0 {
-		return 0
+// madSigma estimates the standard deviation of the readout differences d
+// as 1.4826 * MAD, robust to the steps themselves, and also returns twice
+// their median. Both medians are int32 selections in buf (grown as
+// needed; d is left untouched) and exact: twice the median of integers is
+// an integer, so is the doubled deviation |2d - med2| of every element,
+// and twice the median of those is four times the MAD. The float64 MAD is
+// therefore an exact quarter-integer, the value a float64 median of the
+// sorted differences gives bit for bit. Every |d| <= 2^28 keeps the
+// doubled values and their sums inside int32; readout differences stay
+// within 2^16.
+func madSigma(d, buf []int32) (sigma float64, med2 int32) {
+	if len(d) == 0 {
+		return 0, 0
 	}
-	abs := append(buf[:0], diffs...)
-	med := medianInPlace(abs)
-	for i, v := range diffs {
-		abs[i] = math.Abs(v - med)
+	buf = append(buf[:0], d...)
+	med2 = twiceMedian(buf)
+	for i, v := range d {
+		buf[i] = abs32(2*v - med2)
 	}
-	return 1.4826 * medianInPlace(abs)
+	return 1.4826 * (float64(twiceMedian(buf)) / 4), med2
 }
 
-// medianInPlace returns the median of v, reordering it.
-func medianInPlace(v []float64) float64 {
-	sort.Float64s(v)
-	n := len(v)
-	if n%2 == 1 {
-		return v[n/2]
+// twiceMedian returns twice the median of v, the sum of its two middle
+// order statistics (twice the middle one for odd lengths), reordering v.
+func twiceMedian(v []int32) int32 {
+	k := len(v) / 2
+	hi := orderstat.Select(v, k)
+	if len(v)%2 == 1 {
+		return 2 * hi
 	}
-	return (v[n/2-1] + v[n/2]) / 2
+	return slices.Max(v[:k]) + hi
+}
+
+func abs32(x int32) int32 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -178,15 +178,15 @@ func TestIntegrateEmptyAndTiny(t *testing.T) {
 }
 
 func TestMadSigma(t *testing.T) {
-	if got := madSigma(nil, nil); got != 0 {
+	if got, _ := madSigma(nil, nil); got != 0 {
 		t.Fatalf("empty madSigma = %v", got)
 	}
 	// Standard normal-ish spread: MAD of {-1,0,1} = 1 -> sigma ~1.48.
-	if got := madSigma([]float64{-1, 0, 1}, nil); math.Abs(got-1.4826) > 1e-9 {
+	if got, _ := madSigma([]int32{-1, 0, 1}, nil); math.Abs(got-1.4826) > 1e-9 {
 		t.Fatalf("madSigma = %v", got)
 	}
 	// Robust to one huge outlier.
-	if got := madSigma([]float64{-1, 0, 1, 0, -1, 1e9}, nil); got > 3 {
+	if got, _ := madSigma([]int32{-1, 0, 1, 0, -1, 1e9}, nil); got > 3 {
 		t.Fatalf("madSigma not robust: %v", got)
 	}
 }
