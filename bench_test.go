@@ -240,6 +240,7 @@ func BenchmarkFig1PipelineTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := master.Run(scene.Observed); err != nil {

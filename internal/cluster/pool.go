@@ -130,6 +130,8 @@ type Pool struct {
 	backoffBase      time.Duration
 	backoffMax       time.Duration
 
+	// met and tracer are both set exactly when tel is, so a block guarded
+	// by either may use the other.
 	tel    *telemetry.Registry
 	met    *poolMetrics
 	tracer *telemetry.Tracer
@@ -361,8 +363,7 @@ type submission struct {
 	width, height, tiles int
 
 	runTrace telemetry.TraceContext
-	runSpan  telemetry.ActiveSpan
-	runTSpan *telemetry.TraceSpan
+	runSpan  *telemetry.TraceSpan
 
 	results  chan TileResult
 	failures chan error
@@ -378,28 +379,22 @@ type submission struct {
 // flight at once; their tiles interleave over the same workers.
 func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 	sub := &submission{pool: p, out: make(chan *Result, 1)}
-	sub.runSpan = p.tel.StartSpan(StageRun, "baseline")
 	// Continue the caller's trace (the mission layer mints one per
 	// baseline) or open a fresh root when this run is the outermost traced
 	// unit. runTrace parents every tile's first dispatch.
 	if p.tracer != nil {
-		if parent, ok := telemetry.TraceFromContext(ctx); ok {
-			sub.runTSpan = p.tracer.StartSpan(parent, StageRun, "baseline")
-		} else {
-			sub.runTSpan = p.tracer.StartTrace(StageRun, "baseline")
-		}
-		sub.runTrace = sub.runTSpan.Context()
+		parent, _ := telemetry.TraceFromContext(ctx)
+		sub.runSpan = p.tracer.StartSpan(parent, StageRun, "baseline")
+		sub.runTrace = sub.runSpan.Context()
 		ctx = telemetry.ContextWithTrace(ctx, p.tracer, sub.runTrace)
 	}
 	sub.ctx = ctx
 
-	fragSpan := p.tel.StartSpan(StageFragment, "baseline")
-	fragTSpan := p.tracer.StartSpan(sub.runTrace, StageFragment, "baseline")
+	fragSpan := p.tracer.StartSpan(sub.runTrace, StageFragment, "baseline")
 	tiles, err := dataset.Fragment(s, p.tileSize)
-	// End the fragment spans before the error check so the failed
+	// End the fragment span before the error check so the failed
 	// fragmentation itself is visible in the trace.
 	fragSpan.End()
-	fragTSpan.End()
 	if err != nil {
 		sub.deliver(&Result{Err: err})
 		return sub.out
@@ -459,17 +454,14 @@ func (sub *submission) failN(n int, err error) {
 	sub.account(n)
 }
 
-// deliver ends the run spans and hands the result to the caller. It runs
-// exactly once per submission, and the spans end before the send so a
-// caller that returns from <-out observes them recorded.
+// deliver ends the run span, which also times pipeline_run, and hands the
+// result to the caller. It runs exactly once per submission, and the span
+// ends before the send so a caller that returns from <-out observes it
+// recorded.
 func (sub *submission) deliver(res *Result) {
-	p := sub.pool
-	if p.met != nil {
-		sub.runSpan.EndTo(p.met.run)
-	} else {
-		sub.runSpan.End()
+	if m := sub.pool.met; m != nil {
+		sub.runSpan.EndTo(m.run)
 	}
-	sub.runTSpan.End()
 	sub.out <- res
 	close(sub.out)
 }
@@ -500,9 +492,15 @@ func (sub *submission) finalize() {
 	}
 	count := 0
 	for res := range sub.results {
-		blitSpan := p.tel.StartSpan(StageBlit, fmt.Sprintf("tile_%d", res.Index))
+		start := time.Now()
 		blit(out.Image, res)
-		blitSpan.End()
+		if p.tracer != nil {
+			p.tracer.Record(telemetry.TraceEvent{
+				TraceID: sub.runTrace.TraceID, SpanID: telemetry.NewSpanID(), ParentID: sub.runTrace.SpanID,
+				Stage: StageBlit, Label: fmt.Sprintf("tile_%d", res.Index),
+				Start: start, Dur: time.Since(start),
+			})
+		}
 		out.Stats.Add(res.Stats)
 		out.PreStats.Add(res.PreStats)
 		count++
@@ -511,11 +509,9 @@ func (sub *submission) finalize() {
 		sub.deliver(&Result{Err: fmt.Errorf("cluster: reassembled %d of %d tiles", count, sub.tiles)})
 		return
 	}
-	compSpan := p.tel.StartSpan(StageCompress, "baseline")
-	compTSpan := p.tracer.StartSpan(sub.runTrace, StageCompress, "baseline")
+	compSpan := p.tracer.StartSpan(sub.runTrace, StageCompress, "baseline")
 	out.Compressed = rice.Encode(out.Image.Pix)
 	compSpan.End()
-	compTSpan.End()
 	if p.met != nil {
 		p.met.bytesOut.Add(int64(len(out.Compressed)))
 	}
@@ -585,56 +581,43 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 	ctx := sub.ctx
 	var label string
 	var start time.Time
-	var dispatchTC telemetry.TraceContext
-	if p.met != nil {
+	var dispatchTC, procTC telemetry.TraceContext
+	if p.tracer != nil {
 		label = fmt.Sprintf("tile_%d", j.tile.Index)
-		if p.tracer != nil {
-			parent := j.origin
-			if !parent.Valid() {
-				parent = sub.runTrace
-			}
-			dispatchTC = telemetry.TraceContext{TraceID: parent.TraceID, SpanID: telemetry.NewSpanID()}
-			if !j.enqueued.IsZero() {
-				p.tracer.Record(telemetry.TraceEvent{
-					TraceID: dispatchTC.TraceID, SpanID: dispatchTC.SpanID, ParentID: parent.SpanID,
-					Stage: StageDispatch, Label: label, TID: int64(pw.seq),
-					Start: j.enqueued, Dur: time.Since(j.enqueued),
-					Args: map[string]string{"attempt": fmt.Sprint(j.retries)},
-				})
-			}
-			if !j.origin.Valid() {
-				j.origin = dispatchTC
-			}
-			procTC := telemetry.TraceContext{TraceID: dispatchTC.TraceID, SpanID: telemetry.NewSpanID()}
-			ctx = telemetry.ContextWithTrace(ctx, p.tracer, procTC)
+		parent := j.origin
+		if !parent.Valid() {
+			parent = sub.runTrace
 		}
-		if !j.enqueued.IsZero() {
-			wait := time.Since(j.enqueued)
-			p.tel.RecordSpan(StageDispatch, label, j.enqueued, wait)
-			p.met.dispatchWait.Observe(wait)
+		dispatchTC = telemetry.TraceContext{TraceID: parent.TraceID, SpanID: telemetry.NewSpanID()}
+		wait := time.Since(j.enqueued)
+		p.tracer.Record(telemetry.TraceEvent{
+			TraceID: dispatchTC.TraceID, SpanID: dispatchTC.SpanID, ParentID: parent.SpanID,
+			Stage: StageDispatch, Label: label, TID: int64(pw.seq),
+			Start: j.enqueued, Dur: wait,
+			Args: map[string]string{"attempt": fmt.Sprint(j.retries)},
+		})
+		p.met.dispatchWait.Observe(wait)
+		if !j.origin.Valid() {
+			j.origin = dispatchTC
 		}
+		procTC = telemetry.TraceContext{TraceID: dispatchTC.TraceID, SpanID: telemetry.NewSpanID()}
+		ctx = telemetry.ContextWithTrace(ctx, p.tracer, procTC)
 		start = time.Now()
 	}
 	res, err := pw.w.ProcessTile(ctx, cloneTile(j.tile))
-	if p.met != nil {
+	if p.tracer != nil {
 		d := time.Since(start)
-		p.tel.RecordSpan(StageProcess, label, start, d)
 		p.met.tileProcess.Observe(d)
 		pw.hist.Observe(d)
-		if p.tracer != nil {
-			ev := telemetry.TraceEvent{
-				TraceID: dispatchTC.TraceID, ParentID: dispatchTC.SpanID,
-				Stage: StageProcess, Label: label, TID: int64(pw.seq),
-				Start: start, Dur: d,
-			}
-			if tc, ok := telemetry.TraceFromContext(ctx); ok {
-				ev.SpanID = tc.SpanID
-			}
-			if err != nil {
-				ev.Args = map[string]string{"error": err.Error()}
-			}
-			p.tracer.Record(ev)
+		ev := telemetry.TraceEvent{
+			TraceID: dispatchTC.TraceID, SpanID: procTC.SpanID, ParentID: dispatchTC.SpanID,
+			Stage: StageProcess, Label: label, TID: int64(pw.seq),
+			Start: start, Dur: d,
 		}
+		if err != nil {
+			ev.Args = map[string]string{"error": err.Error()}
+		}
+		p.tracer.Record(ev)
 	}
 	if err != nil {
 		// A cancelled submission is not a worker fault: retire the tile
@@ -665,11 +648,8 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 			return
 		}
 		if j.retries < p.retries {
-			if p.met != nil {
-				p.met.retried.Inc()
-				p.tel.RecordSpan(StageRetry, label, start, time.Since(start))
-			}
 			if p.tracer != nil {
+				p.met.retried.Inc()
 				p.tracer.Record(telemetry.TraceEvent{
 					TraceID: dispatchTC.TraceID, SpanID: telemetry.NewSpanID(), ParentID: dispatchTC.SpanID,
 					Stage: StageRetry, Label: label, TID: int64(pw.seq),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"testing"
@@ -11,7 +12,9 @@ import (
 )
 
 // TestMasterTelemetryCountsTiles checks that a clean instrumented run
-// records every pipeline stage and per-worker latency.
+// records each pipeline stage exactly once per instance (one run, one
+// fragment and one compress per baseline; one dispatch, process and blit
+// per tile) and per-worker latency.
 func TestMasterTelemetryCountsTiles(t *testing.T) {
 	sc := testScene(t, 21)
 	reg := telemetry.NewRegistry()
@@ -31,10 +34,12 @@ func TestMasterTelemetryCountsTiles(t *testing.T) {
 	if got := snap.Counters["pipeline_tiles_completed_total"]; got != tiles {
 		t.Fatalf("tiles_completed = %d, want %d", got, tiles)
 	}
-	for _, stage := range []string{StageFragment, StageDispatch, StageProcess, StageBlit, StageCompress, StageRun} {
-		if snap.SpanCounts[stage] == 0 {
-			t.Fatalf("no spans recorded for stage %q: %v", stage, snap.SpanCounts)
-		}
+	want := map[string]int64{
+		StageRun: 1, StageFragment: 1, StageCompress: 1,
+		StageDispatch: tiles, StageProcess: tiles, StageBlit: tiles,
+	}
+	if !maps.Equal(snap.SpanCounts, want) {
+		t.Fatalf("span counts = %v, want %v", snap.SpanCounts, want)
 	}
 	if snap.Gauges["pipeline_workers"] != 2 {
 		t.Fatalf("pipeline_workers = %v, want 2", snap.Gauges["pipeline_workers"])
@@ -54,7 +59,8 @@ func TestMasterTelemetryCountsTiles(t *testing.T) {
 }
 
 // TestMasterTelemetryRetries checks that the retry counter and the retry
-// span trace both agree with the Result's own count.
+// span trace both agree with the Result's own count, and that every
+// attempt is one dispatch and one process span.
 func TestMasterTelemetryRetries(t *testing.T) {
 	sc := testScene(t, 22)
 	good, err := NewLocalWorker(nil, crreject.DefaultConfig())
@@ -82,8 +88,79 @@ func TestMasterTelemetryRetries(t *testing.T) {
 	if res.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", res.Retries)
 	}
+	// Four tiles plus the two failed attempts: six dispatches and six
+	// process spans, two of which ended in a retry.
+	want := map[string]int64{
+		StageRun: 1, StageFragment: 1, StageCompress: 1,
+		StageDispatch: 6, StageProcess: 6, StageRetry: 2, StageBlit: 4,
+	}
+	if !maps.Equal(snap.SpanCounts, want) {
+		t.Fatalf("span counts = %v, want %v", snap.SpanCounts, want)
+	}
 	if snap.Counters["pipeline_tile_failures_total"] != 0 {
 		t.Fatalf("failures counter = %d, want 0", snap.Counters["pipeline_tile_failures_total"])
+	}
+}
+
+// TestTCPSpanCountsPerProcess runs a traced pipeline over loopback TCP
+// with master and worker on separate registries, as on separate nodes.
+// Each registry counts the spans its own process recorded: the worker
+// counts every serve once, and the master counts none, although the
+// folded-back serve spans join its trace. Merging the two /metrics pages,
+// as the fleet aggregator does, therefore counts each serve once.
+func TestTCPSpanCountsPerProcess(t *testing.T) {
+	sc := testScene(t, 26)
+	masterReg := telemetry.NewRegistry()
+	workerReg := telemetry.NewRegistry()
+	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(lw, WithServerTelemetry(workerReg))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rw, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	m, err := NewMaster([]Worker{rw}, WithTileSize(32), WithTelemetry(masterReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(sc.Observed); err != nil {
+		t.Fatal(err)
+	}
+
+	const tiles = 4
+	master, worker := masterReg.Snapshot(), workerReg.Snapshot()
+	wantMaster := map[string]int64{
+		StageRun: 1, StageFragment: 1, StageCompress: 1,
+		StageDispatch: tiles, StageProcess: tiles, StageBlit: tiles,
+	}
+	if !maps.Equal(master.SpanCounts, wantMaster) {
+		t.Fatalf("master span counts = %v, want %v", master.SpanCounts, wantMaster)
+	}
+	if want := map[string]int64{"serve": tiles}; !maps.Equal(worker.SpanCounts, want) {
+		t.Fatalf("worker span counts = %v, want %v", worker.SpanCounts, want)
+	}
+	merged := telemetry.NewExposition()
+	for _, snap := range []telemetry.Snapshot{master, worker} {
+		var page strings.Builder
+		if err := snap.WriteText(&page); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := telemetry.ParseText(strings.NewReader(page.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(exp)
+	}
+	if got := merged.SpanCounts["serve"]; got != tiles {
+		t.Fatalf("merged pages count %d serve spans, want %d", got, tiles)
 	}
 }
 

@@ -142,9 +142,10 @@ func (s *Server) serve(c *wire.Conn) {
 }
 
 // process runs one request under the deadline it carried, recording server
-// telemetry when configured. When the request carries a trace, the serve
-// span continues it — same trace ID, parented under the master's dispatch
-// — and rides back in the response for the master's artifact.
+// telemetry when configured. Every request is one serve span on the
+// server's tracer. When the request carries a trace, the span continues it
+// — same trace ID, parented under the master's dispatch — and rides back
+// in the response for the master's artifact.
 func (s *Server) process(req request) (TileResult, []telemetry.TraceEvent, error) {
 	ctx := context.Background()
 	if !req.Deadline.IsZero() {
@@ -163,30 +164,28 @@ func (s *Server) process(req request) (TileResult, []telemetry.TraceEvent, error
 	}
 	res, err := s.worker.ProcessTile(ctx, req.Tile)
 	d := time.Since(start)
-	label := fmt.Sprintf("tile_%d", req.Tile.Index)
 	if s.tel != nil {
 		s.serveLat.Observe(d)
-		s.tel.RecordSpan("serve", label, start, d)
 		if err != nil {
 			s.errored.Inc()
 		}
 	}
+	ev := telemetry.TraceEvent{
+		TraceID: serveTC.TraceID, SpanID: serveTC.SpanID, ParentID: req.Trace.SpanID,
+		Stage: "serve", Label: fmt.Sprintf("tile_%d", req.Tile.Index),
+		Start: start, Dur: d,
+	}
+	if err != nil {
+		ev.Args = map[string]string{"error": err.Error()}
+	}
 	var spans []telemetry.TraceEvent
 	if req.Trace.Valid() {
 		s.mu.Lock()
-		proc := "worker " + s.ln.Addr()
+		ev.Proc = "worker " + s.ln.Addr()
 		s.mu.Unlock()
-		ev := telemetry.TraceEvent{
-			TraceID: serveTC.TraceID, SpanID: serveTC.SpanID, ParentID: req.Trace.SpanID,
-			Stage: "serve", Label: label, Proc: proc,
-			Start: start, Dur: d,
-		}
-		if err != nil {
-			ev.Args = map[string]string{"error": err.Error()}
-		}
-		s.tel.Tracer().Record(ev)
 		spans = append(spans, ev)
 	}
+	s.tel.Tracer().Record(ev)
 	if err != nil && s.log != nil {
 		s.log.LogAttrs(ctx, slog.LevelWarn, "serve failed",
 			slog.Int("tile", req.Tile.Index),
@@ -284,11 +283,12 @@ func (w *RemoteWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 		w.teardown()
 		return TileResult{}, transportErr(ctx, "receive", t.Index, err)
 	}
-	// Fold the slave's spans into the dispatching side's tracer before
+	// Fold the slave's spans into the dispatching side's trace before
 	// surfacing any remote error: a failed serve still leaves its span.
+	// The slave's registry already counted them.
 	if tr := telemetry.TracerFromContext(ctx); tr != nil {
 		for _, ev := range resp.Spans {
-			tr.Record(ev)
+			tr.Adopt(ev)
 		}
 	}
 	if resp.Err != "" {

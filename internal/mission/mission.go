@@ -277,25 +277,18 @@ func newPool(pre core.SeriesPreprocessor, workers, tile int, reg *telemetry.Regi
 // the overlap test uses it to prove >1 baseline is in flight at once.
 var testHookBaselineStart func(baseline int)
 
-// stageSpan opens a per-baseline stage span whose duration also feeds the
-// mission_<stage> histogram; the returned func records both. When ctx
-// carries the baseline's trace, the stage additionally lands in the
-// tracer as a child of the baseline root. With no registry it is a no-op.
+// stageSpan opens a per-baseline stage span under the baseline's trace
+// root carried by ctx; the returned func ends it, and the span's duration
+// also feeds the mission_<stage> histogram. With no registry it is a
+// no-op.
 func (c Config) stageSpan(ctx context.Context, stage string, baseline int) func() {
 	if c.Telemetry == nil {
 		return func() {}
 	}
-	label := fmt.Sprintf("baseline_%03d", baseline)
-	span := c.Telemetry.StartSpan(stage, label)
+	tc, _ := telemetry.TraceFromContext(ctx)
+	span := c.Telemetry.Tracer().StartSpan(tc, stage, fmt.Sprintf("baseline_%03d", baseline))
 	hist := c.Telemetry.Histogram("mission_" + stage)
-	var tspan *telemetry.TraceSpan
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		tspan = telemetry.TracerFromContext(ctx).StartSpan(tc, stage, label)
-	}
-	return func() {
-		span.EndTo(hist)
-		tspan.End()
-	}
+	return func() { span.EndTo(hist) }
 }
 
 func runBaseline(ctx context.Context, cfg Config, b int, pool, refPool *cluster.Pool) (*BaselineResult, error) {

@@ -196,8 +196,9 @@ func TestReportRender(t *testing.T) {
 }
 
 // TestCampaignTracePerBaseline asserts the mission layer mints one trace
-// root per baseline and that the pipeline's spans chain under it, with the
-// forensics WARN records stamped with the baseline's trace ID.
+// root per baseline and that the pipeline's spans chain under it, that
+// every stage is counted once per instance, and that the forensics WARN
+// records are stamped with the baseline's trace ID.
 func TestCampaignTracePerBaseline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var logBuf strings.Builder
@@ -224,6 +225,18 @@ func TestCampaignTracePerBaseline(t *testing.T) {
 	}
 	if len(roots) != 2 {
 		t.Fatalf("want 2 baseline trace roots, got %v", roots)
+	}
+	// Every stage is counted once per instance: each mission stage and
+	// each pool run once per baseline, each tile stage once per tile of
+	// the 64x64 scene's four.
+	counts := reg.Snapshot().SpanCounts
+	for stage, want := range map[string]int64{
+		"synth": 2, "reference": 2, "inject": 2, "store": 2, "pipeline": 2, "score": 2,
+		"run": 2, "fragment": 2, "compress": 2, "dispatch": 8, "process": 8, "blit": 8,
+	} {
+		if got := counts[stage]; got != want {
+			t.Fatalf("stage %s counted %d spans, want %d: %v", stage, got, want, counts)
+		}
 	}
 	for id, label := range roots {
 		if children[id] == 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -539,7 +540,10 @@ func (f *Fleet) probe(httpc *http.Client, n *fleetNode) error {
 // scrapeDepth pulls the serve_requests_inflight gauge from the node's
 // text exposition through the shared telemetry parser. A truncated body
 // still yields the gauge when it parsed before the fault; a page without
-// the gauge (or an unreachable node) reports no depth.
+// the gauge (or an unreachable node) reports no depth, and so does a NaN
+// or negative gauge. A gauge past the int range (an Inf, 1e300), whose
+// conversion Go leaves implementation-defined, saturates, so a swamped
+// node still spills.
 func (f *Fleet) scrapeDepth(httpc *http.Client, health string) (int, bool) {
 	resp, err := httpc.Get("http://" + health + "/metrics")
 	if err != nil {
@@ -548,8 +552,11 @@ func (f *Fleet) scrapeDepth(httpc *http.Client, health string) (int, bool) {
 	defer resp.Body.Close()
 	exp, _ := telemetry.ParseText(io.LimitReader(resp.Body, 4<<20))
 	v, ok := exp.Gauge("serve_requests_inflight")
-	if !ok {
+	if !ok || math.IsNaN(v) || v < 0 {
 		return 0, false
+	}
+	if v >= math.MaxInt {
+		return math.MaxInt, true
 	}
 	return int(v), true
 }

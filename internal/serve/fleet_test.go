@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -447,6 +448,33 @@ func TestFleetProbesHealthSidecar(t *testing.T) {
 		case <-deadline:
 			t.Fatal("member never ejected after its sidecar died")
 		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
+// TestScrapeDepthValidatesGauge probes /metrics pages whose inflight
+// gauge Go cannot convert to int portably. NaN and negative levels report
+// no depth; values past the int range saturate, so an overloaded member
+// still spills instead of reading as idle.
+func TestScrapeDepthValidatesGauge(t *testing.T) {
+	for _, tc := range []struct {
+		gauge string
+		depth int
+		ok    bool
+	}{
+		{"7", 7, true},
+		{"7.9", 7, true},
+		{"0", 0, true},
+		{"NaN", 0, false},
+		{"-3", 0, false},
+		{"-Inf", 0, false},
+		{"+Inf", math.MaxInt, true},
+		{"1e300", math.MaxInt, true},
+	} {
+		health := serveMetricsPage(t, "gauge serve_requests_inflight "+tc.gauge+"\n", 200)
+		depth, ok := (&Fleet{}).scrapeDepth(httpClient(), health)
+		if depth != tc.depth || ok != tc.ok {
+			t.Errorf("gauge %s: depth %d, %v; want %d, %v", tc.gauge, depth, ok, tc.depth, tc.ok)
 		}
 	}
 }

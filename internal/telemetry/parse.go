@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -165,7 +166,9 @@ func parseLine(e *Exposition, line string) {
 // fields (sum, min_ns, max_ns, buckets); pages from older servers only
 // carry the digest, in which case the state is approximated by placing
 // every observation at the mean — counts and sums stay exact, quantiles
-// degrade to the mean, and merging still adds up.
+// degrade to the mean, and merging still adds up. Machine fields whose
+// buckets do not sum to count are corrupt and get the digest treatment
+// too, so every parsed state keeps the invariant Merge relies on.
 func parseHistogram(fields []string) (HistogramState, bool) {
 	kv := map[string]string{}
 	for _, f := range fields {
@@ -188,7 +191,7 @@ func parseHistogram(fields []string) (HistogramState, bool) {
 		mn, err2 := strconv.ParseInt(kv["min_ns"], 10, 64)
 		mx, err3 := strconv.ParseInt(kv["max_ns"], 10, 64)
 		buckets, err4 := DecodeBuckets(kv["buckets"])
-		if err1 == nil && err2 == nil && err3 == nil && err4 == nil {
+		if err1 == nil && err2 == nil && err3 == nil && err4 == nil && bucketSum(buckets) == count {
 			st.Sum, st.Min, st.Max = sum, time.Duration(mn), time.Duration(mx)
 			st.Buckets = buckets
 			return st, true
@@ -213,7 +216,8 @@ func parseHistogram(fields []string) (HistogramState, bool) {
 }
 
 // DecodeBuckets parses the "i:n,i:n" bucket encoding emitted by
-// WriteText. An empty string decodes to all-zero buckets.
+// WriteText. An empty string decodes to all-zero buckets; a negative
+// count is an error.
 func DecodeBuckets(s string) ([histBuckets]int64, error) {
 	var buckets [histBuckets]int64
 	if s == "" {
@@ -229,12 +233,25 @@ func DecodeBuckets(s string) ([histBuckets]int64, error) {
 			return buckets, fmt.Errorf("telemetry: bad bucket index %q", pair)
 		}
 		n, err := strconv.ParseInt(pair[i+1:], 10, 64)
-		if err != nil {
+		if err != nil || n < 0 {
 			return buckets, fmt.Errorf("telemetry: bad bucket count %q", pair)
 		}
 		buckets[idx] = n
 	}
 	return buckets, nil
+}
+
+// bucketSum totals non-negative bucket counts, or returns -1 when the
+// total overflows, so corrupt counts cannot wrap round to a match.
+func bucketSum(buckets [histBuckets]int64) int64 {
+	var sum int64
+	for _, n := range buckets {
+		if n > math.MaxInt64-sum {
+			return -1
+		}
+		sum += n
+	}
+	return sum
 }
 
 // bucketIndex is the bucket an ns duration falls into (see Observe).

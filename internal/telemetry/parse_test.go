@@ -112,6 +112,36 @@ func TestParseTextSkipsMalformedLines(t *testing.T) {
 	}
 }
 
+// TestParseHistogramRejectsInconsistentBuckets checks that a histogram
+// line whose buckets hold a negative count, or do not sum to its count,
+// never parses into an inconsistent state: it falls back to the digest
+// fields when the line carries them and is skipped when it does not.
+func TestParseHistogramRejectsInconsistentBuckets(t *testing.T) {
+	in := strings.Join([]string{
+		"histogram h count=5 sum=1 min_ns=1 max_ns=1 buckets=3:-2",
+		"histogram h2 count=5 sum=10 min_ns=1 max_ns=3 buckets=1:1,2:1",
+		"histogram digest count=2 min=1ms mean=2ms p50=2ms p95=3ms p99=3ms max=3ms sum=4000000 min_ns=1000000 max_ns=3000000 buckets=21:3",
+	}, "\n")
+	e, err := ParseText(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("ParseText: %v", err)
+	}
+	for name, st := range e.Histograms {
+		if err := checkState(st); err != nil {
+			t.Errorf("histogram %q parsed inconsistent: %v", name, err)
+		}
+	}
+	for _, name := range []string{"h", "h2"} {
+		if st, ok := e.Histograms[name]; ok {
+			t.Errorf("histogram %q without digest fields was not skipped: %+v", name, st)
+		}
+	}
+	st, ok := e.Histograms["digest"]
+	if !ok || st.Count != 2 || st.Sum != 4e6 || st.Buckets[bucketIndex(2e6)] != 2 {
+		t.Errorf("mismatched buckets should fall back to the digest: %+v ok=%v", st, ok)
+	}
+}
+
 func TestParseTextMissingGauge(t *testing.T) {
 	e, err := ParseText(strings.NewReader("counter x 1\n"))
 	if err != nil {

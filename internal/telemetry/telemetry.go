@@ -1,8 +1,9 @@
 // Package telemetry is the pipeline observability layer: a dependency-free
 // metrics subsystem (atomic counters, gauges, bounded latency histograms
-// with percentile estimation, and per-stage span tracing over an in-memory
-// ring buffer) plus a text exposition handler and an HTTP sidecar serving
-// /metrics, /healthz and net/http/pprof.
+// with percentile estimation, and a span tracer that keeps recent spans in
+// a bounded buffer and a monotonic count per stage) plus a text exposition
+// handler and an HTTP sidecar serving /metrics, /healthz and
+// net/http/pprof.
 //
 // The design goal is flight-style continuous measurement with negligible
 // hot-path cost: every write is one or two atomic operations, registry
@@ -244,37 +245,27 @@ func (h *Histogram) Summary() HistogramSummary {
 }
 
 // Registry is a named collection of counters, gauges, histograms and the
-// span ring buffer. Metric accessors are get-or-create and safe for
-// concurrent use; hot paths should resolve their metrics once and hold the
-// returned pointers.
+// span tracer. Metric accessors are get-or-create and safe for concurrent
+// use; hot paths should resolve their metrics once and hold the returned
+// pointers.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    spanRing
 	tracer   *Tracer
 	start    time.Time
 }
 
-// DefaultSpanCapacity bounds the span ring buffer of NewRegistry.
-const DefaultSpanCapacity = 4096
-
-// NewRegistry returns an empty registry with the default span capacity.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		start:    time.Now(),
 	}
-	r.spans.init(DefaultSpanCapacity)
-	return r
 }
-
-// SetSpanCapacity resizes the span ring buffer, dropping buffered spans.
-// Per-stage totals survive the resize.
-func (r *Registry) SetSpanCapacity(n int) { r.spans.resize(n) }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -343,13 +334,10 @@ type Snapshot struct {
 	// text exposition is mergeable across nodes (see HistogramState.Merge
 	// and ParseText).
 	HistogramStates map[string]HistogramState
-	// SpanCounts maps each span stage to the total number of spans ever
-	// recorded for it (monotonic: ring-buffer eviction does not decrease
-	// it).
+	// SpanCounts maps each span stage to the number of spans this
+	// process's tracer ever recorded for it (monotonic: eviction from the
+	// tracer's buffer does not decrease it).
 	SpanCounts map[string]int64
-	// Spans holds the most recent spans, oldest first, bounded by the
-	// ring capacity.
-	Spans []Span
 }
 
 // Snapshot captures the registry.
@@ -373,9 +361,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.HistogramStates[name] = st
 		s.Histograms[name] = st.Summary()
 	}
+	tracer := r.tracer
 	r.mu.RUnlock()
-	s.SpanCounts = r.spans.totals()
-	s.Spans = r.spans.snapshot()
+	s.SpanCounts = tracer.stageCounts()
 	return s
 }
 
@@ -389,7 +377,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// fmtDur renders a duration compactly for tables.
+// fmtDur renders a duration compactly for tables. It truncates to the
+// digits shown rather than rounding, so the text parses back (ParseText
+// reads uptime with time.ParseDuration) to a duration in the same unit
+// that renders identically, even just below a unit boundary or at the top
+// of the range.
 func fmtDur(d time.Duration) string {
 	switch {
 	case d == 0:
@@ -397,10 +389,10 @@ func fmtDur(d time.Duration) string {
 	case d < time.Microsecond:
 		return fmt.Sprintf("%dns", d.Nanoseconds())
 	case d < time.Millisecond:
-		return fmt.Sprintf("%.1fus", float64(d.Nanoseconds())/1e3)
+		return fmt.Sprintf("%.1fus", float64(d.Truncate(100*time.Nanosecond))/1e3)
 	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d.Nanoseconds())/1e6)
+		return fmt.Sprintf("%.2fms", float64(d.Truncate(10*time.Microsecond))/1e6)
 	default:
-		return fmt.Sprintf("%.3fs", d.Seconds())
+		return fmt.Sprintf("%.3fs", d.Truncate(time.Millisecond).Seconds())
 	}
 }

@@ -65,28 +65,28 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestSpanRingEvictionKeepsTotals(t *testing.T) {
-	reg := NewRegistry()
-	reg.SetSpanCapacity(8)
+	tr := NewTracer(8, "test")
 	start := time.Now()
 	for i := 0; i < 20; i++ {
-		reg.RecordSpan("process", fmt.Sprintf("tile_%d", i), start, time.Millisecond)
+		tr.Record(TraceEvent{TraceID: 1, SpanID: uint64(i + 1), Stage: "process",
+			Label: fmt.Sprintf("tile_%d", i), Start: start, Dur: time.Millisecond})
 	}
-	if got := len(reg.Spans()); got != 8 {
+	if got := len(tr.Events()); got != 8 {
 		t.Fatalf("ring holds %d spans, want 8", got)
 	}
-	if got := reg.SpanCount("process"); got != 20 {
+	if got := tr.stageCounts()["process"]; got != 20 {
 		t.Fatalf("span total = %d, want 20 (must survive eviction)", got)
 	}
 	// The retained spans are the most recent ones.
-	spans := reg.Spans()
+	spans := tr.Events()
 	if spans[len(spans)-1].Label != "tile_19" {
 		t.Fatalf("last span = %q, want tile_19", spans[len(spans)-1].Label)
 	}
 }
 
-func TestActiveSpanNilRegistry(t *testing.T) {
+func TestTraceSpanNilRegistry(t *testing.T) {
 	var reg *Registry
-	sp := reg.StartSpan("x", "y")
+	sp := reg.Tracer().StartSpan(TraceContext{}, "x", "y")
 	sp.End() // must not panic
 	sp.EndTo(nil)
 }
@@ -104,7 +104,7 @@ func TestConcurrentWriters(t *testing.T) {
 				reg.Counter("hits").Inc()
 				reg.Gauge("level").Set(float64(i))
 				reg.Histogram("lat").Observe(time.Duration(i+1) * time.Microsecond)
-				reg.RecordSpan("stage", "label", time.Now(), time.Microsecond)
+				reg.Tracer().Record(TraceEvent{Stage: "stage", Label: "label", Start: time.Now(), Dur: time.Microsecond})
 				if i%100 == 0 {
 					reg.Snapshot() // readers race with writers
 				}
@@ -124,12 +124,18 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteText(t *testing.T) {
+// sampleRegistry holds one metric of each kind and one process span.
+func sampleRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("tiles_total").Add(7)
 	reg.Gauge("workers").Set(4)
 	reg.Histogram("lat").Observe(2 * time.Millisecond)
-	reg.RecordSpan("process", "tile_0", time.Now(), time.Millisecond)
+	reg.Tracer().Record(TraceEvent{Stage: "process", Label: "tile_0", Start: time.Now(), Dur: time.Millisecond})
+	return reg
+}
+
+func TestSnapshotWriteText(t *testing.T) {
+	reg := sampleRegistry()
 
 	var sb strings.Builder
 	if err := reg.Snapshot().WriteText(&sb); err != nil {

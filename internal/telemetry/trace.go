@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -18,9 +19,11 @@ import (
 // mission layer or the cluster master, attached to every tile dispatch,
 // carried over the gob transport, and continued on the serving node, so a
 // retry on worker 12 or a deadline expiry on a remote slave shows up as a
-// child span of the dispatch that caused it. Completed spans accumulate in
-// a Tracer's bounded buffer and export as Chrome trace-event JSON
-// (chrome://tracing / Perfetto loadable).
+// child span of the dispatch that caused it. The Tracer is the one span
+// recorder: it counts every span its own process records per stage (the
+// "spans" lines of /metrics) and keeps the traced ones in a bounded buffer
+// that exports as Chrome trace-event JSON (chrome://tracing / Perfetto
+// loadable).
 //
 // Identifiers come from internal/rng (PCG), not from wall clocks or
 // crypto/rand: the generator is seeded per process (pid-mixed, overridable
@@ -80,13 +83,13 @@ func newID() uint64 {
 	}
 }
 
-// TraceEvent is one completed span in a trace. Unlike the metrics-side
-// Span (stage + label only), a TraceEvent carries the causal identifiers
-// and the process/track it ran on, which is what makes the cross-process
-// timeline assemblable.
+// TraceEvent is one completed span. Besides its stage and timing it
+// carries the causal identifiers and the process/track it ran on, which is
+// what makes the cross-process timeline assemblable.
 type TraceEvent struct {
 	// TraceID, SpanID and ParentID place the event in its trace tree.
-	// ParentID is zero for root spans.
+	// ParentID is zero for root spans. A zero TraceID marks work outside
+	// any trace: it is counted but neither buffered nor exported.
 	TraceID, SpanID, ParentID uint64
 	// Stage groups events for aggregation ("dispatch", "process",
 	// "serve", "retry"); Label distinguishes instances ("tile_12").
@@ -109,9 +112,10 @@ type TraceEvent struct {
 // DefaultTraceCapacity bounds a registry's tracer buffer.
 const DefaultTraceCapacity = 8192
 
-// Tracer accumulates completed TraceEvents in a bounded ring buffer.
-// All methods are safe for concurrent use and are no-ops on a nil
-// receiver, so call sites need no guards.
+// Tracer records completed spans: a monotonic count per stage of every
+// span this process recorded, which survives eviction, and a bounded ring
+// buffer of the traced events. All methods are safe for concurrent use and
+// are no-ops on a nil receiver, so call sites need no guards.
 type Tracer struct {
 	mu      sync.Mutex
 	buf     []TraceEvent
@@ -119,6 +123,7 @@ type Tracer struct {
 	filled  bool
 	dropped int64
 	proc    string
+	total   map[string]int64
 	// seen dedupes by span ID (bounded by the ring): when a master and a
 	// slave server share one process — and therefore one registry — a
 	// serve span arrives both locally and folded back over the transport.
@@ -134,7 +139,12 @@ func NewTracer(capacity int, proc string) *Tracer {
 	if proc == "" {
 		proc = "main"
 	}
-	return &Tracer{buf: make([]TraceEvent, 0, capacity), proc: proc, seen: make(map[uint64]struct{})}
+	return &Tracer{
+		buf:   make([]TraceEvent, 0, capacity),
+		proc:  proc,
+		total: make(map[string]int64),
+		seen:  make(map[uint64]struct{}),
+	}
 }
 
 // SetProc renames the tracer's process label for subsequent events.
@@ -147,16 +157,40 @@ func (t *Tracer) SetProc(proc string) {
 	t.mu.Unlock()
 }
 
-// Record appends a completed event, evicting the oldest when full. An
-// empty Proc is stamped with the tracer's process label.
+// Record counts a span this process completed under its stage and, when
+// it belongs to a trace, appends it to the buffer, evicting the oldest
+// when full. An empty Proc is stamped with the tracer's process label.
 func (t *Tracer) Record(ev TraceEvent) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	t.total[ev.Stage]++
+	t.buffer(ev)
+	t.mu.Unlock()
+}
+
+// Adopt appends a span another process recorded (a remote worker's serve
+// span, folded back over the transport) to the buffer without counting
+// it: the registry of the process that recorded it counts it, so merging
+// both nodes' /metrics pages counts it once.
+func (t *Tracer) Adopt(ev TraceEvent) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.buffer(ev)
+	t.mu.Unlock()
+}
+
+// buffer appends a traced event unless its span ID is already buffered.
+// Callers hold t.mu.
+func (t *Tracer) buffer(ev TraceEvent) {
+	if ev.TraceID == 0 {
+		return
+	}
 	if ev.SpanID != 0 {
 		if _, dup := t.seen[ev.SpanID]; dup {
-			t.mu.Unlock()
 			return
 		}
 		t.seen[ev.SpanID] = struct{}{}
@@ -166,17 +200,26 @@ func (t *Tracer) Record(ev TraceEvent) {
 	}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
-	} else {
-		delete(t.seen, t.buf[t.next].SpanID)
-		t.buf[t.next] = ev
-		t.next++
-		if t.next == cap(t.buf) {
-			t.next = 0
-		}
-		t.filled = true
-		t.dropped++
+		return
 	}
-	t.mu.Unlock()
+	delete(t.seen, t.buf[t.next].SpanID)
+	t.buf[t.next] = ev
+	t.next++
+	if t.next == cap(t.buf) {
+		t.next = 0
+	}
+	t.filled = true
+	t.dropped++
+}
+
+// stageCounts copies the per-stage span totals; a nil tracer has none.
+func (t *Tracer) stageCounts() map[string]int64 {
+	if t == nil {
+		return map[string]int64{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return maps.Clone(t.total)
 }
 
 // Dropped returns how many events were evicted to honor the bound.
@@ -282,10 +325,16 @@ func (s *TraceSpan) Annotate(key, value string) {
 }
 
 // End records the completed span into its tracer.
-func (s *TraceSpan) End() {
+func (s *TraceSpan) End() { s.EndTo(nil) }
+
+// EndTo records the span and also observes its duration into h when h is
+// non-nil, so a latency histogram timing the same interval reads the
+// span's own clock.
+func (s *TraceSpan) EndTo(h *Histogram) {
 	if s == nil {
 		return
 	}
+	d := time.Since(s.start)
 	s.tracer.Record(TraceEvent{
 		TraceID:  s.tc.TraceID,
 		SpanID:   s.tc.SpanID,
@@ -294,9 +343,12 @@ func (s *TraceSpan) End() {
 		Label:    s.label,
 		TID:      s.tid,
 		Start:    s.start,
-		Dur:      time.Since(s.start),
+		Dur:      d,
 		Args:     s.args,
 	})
+	if h != nil {
+		h.Observe(d)
+	}
 }
 
 // chromeEvent is one Chrome trace-event object. All seven canonical keys

@@ -117,10 +117,10 @@ func TestTracerDedupesBySpanID(t *testing.T) {
 	}
 	// Eviction must free the dedup slot so the map stays bounded.
 	small := NewTracer(2, "test")
-	small.Record(TraceEvent{SpanID: 1})
-	small.Record(TraceEvent{SpanID: 2})
-	small.Record(TraceEvent{SpanID: 3}) // evicts span 1
-	small.Record(TraceEvent{SpanID: 1}) // no longer a duplicate
+	small.Record(TraceEvent{TraceID: 1, SpanID: 1})
+	small.Record(TraceEvent{TraceID: 1, SpanID: 2})
+	small.Record(TraceEvent{TraceID: 1, SpanID: 3}) // evicts span 1
+	small.Record(TraceEvent{TraceID: 1, SpanID: 1}) // no longer a duplicate
 	events := small.Events()
 	if len(events) != 2 || events[0].SpanID != 3 || events[1].SpanID != 1 {
 		t.Fatalf("eviction left dedup state stale: %+v", events)

@@ -17,23 +17,24 @@ import (
 // registry is passive until wired in; uninstrumented pipelines pay
 // nothing.
 type (
-	// TelemetryRegistry collects counters, gauges, histograms and spans.
+	// TelemetryRegistry collects counters, gauges, histograms and, through
+	// its Tracer, spans.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a consistent point-in-time copy of a registry.
+	// TelemetrySnapshot is a consistent point-in-time copy of a registry;
+	// its SpanCounts hold the per-stage span totals of the registry's
+	// Tracer.
 	TelemetrySnapshot = telemetry.Snapshot
 	// HistogramSummary reports count/min/mean/p50/p95/p99/max for one
 	// latency histogram.
 	HistogramSummary = telemetry.HistogramSummary
-	// StageSpan is one recorded stage execution in a snapshot's span log
-	// (distinct from TraceSpan, which belongs to the distributed tracer).
-	StageSpan = telemetry.Span
 	// TraceContext is the wire-propagated position of an operation inside
 	// a distributed trace: the trace ID plus the current span ID.
 	TraceContext = telemetry.TraceContext
 	// TraceEvent is one completed span held by a Tracer.
 	TraceEvent = telemetry.TraceEvent
-	// Tracer is a bounded in-memory collector of TraceEvents, exported as
-	// Chrome trace-event JSON via WriteChrome or /debug/trace.
+	// Tracer records every span: it counts them per stage and keeps the
+	// traced ones in a bounded buffer, exported as Chrome trace-event JSON
+	// via WriteChrome or /debug/trace.
 	Tracer = telemetry.Tracer
 	// TraceSpan is an open span handle minted by a Tracer; End records it.
 	TraceSpan = telemetry.TraceSpan
