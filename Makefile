@@ -67,9 +67,12 @@ bench-compare:
 # differential fuzzers, the way-threshold histogram against its sort
 # reference, the integer-exact cosmic-ray integrators against their
 # sort-based float64 reference, the permutation bijectivity fuzzer, the
-# campaign site enumerator, the codec/parser fuzzers, the budgeted gob
-# receive both network ports read through, and the /metrics exposition
-# parser every scraper reads peer pages with. FUZZTIME scales the
+# campaign site enumerator, the codec/parser fuzzers, the little-endian
+# pixel codec every port, digest and WAL record shares (decode of
+# arbitrary bytes, round trip, zero-copy view against the portable
+# conversion), the budgeted gob receive both network ports read through
+# (its sample carries pixels), and the /metrics exposition parser every
+# scraper reads peer pages with. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -84,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
+	$(GO) test -run '^$$' -fuzz '^FuzzPixels$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 

@@ -1,7 +1,10 @@
 package spaceproc_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spaceproc"
@@ -289,6 +292,38 @@ func BenchmarkRiceFloat32(b *testing.B) {
 		if out := spaceproc.RiceEncodeFloat32(scene.Cube.Data); len(out) == 0 {
 			b.Fatal("empty encoding")
 		}
+	}
+}
+
+// BenchmarkPixelGob measures what a TCP port pays to move one serve-ingest
+// baseline (128x128x16) each way: a gob encode and decode of the stack
+// through a buffer. Pixels cross as little-endian bytes, so a return to
+// gob's one varint per pixel shows here as a several-fold slowdown.
+func BenchmarkPixelGob(b *testing.B) {
+	cfg := spaceproc.DefaultSceneConfig()
+	cfg.Readouts = 16
+	scene, err := spaceproc.NewScene(cfg, spaceproc.NewRNG(31))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	var got spaceproc.Stack
+	b.SetBytes(int64(2 * cfg.Readouts * cfg.Width * cfg.Height))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(scene.Observed); err != nil {
+			b.Fatal(err)
+		}
+		got = spaceproc.Stack{}
+		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got.Len() != cfg.Readouts || !slices.Equal(got.Frames[3].Pix, scene.Observed.Frames[3].Pix) {
+		b.Fatal("stack changed on the way through gob")
 	}
 }
 

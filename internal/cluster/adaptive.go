@@ -140,8 +140,8 @@ func (w *AdaptiveWorker) LastLambda() int { return int(w.lastLambda.Load()) }
 // ProcessTile implements Worker. Like LocalWorker's, it polls
 // cancellation between pixel chunks of both passes.
 func (w *AdaptiveWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
-	if t.Stack == nil || t.Stack.Len() == 0 {
-		return TileResult{}, fmt.Errorf("cluster: empty tile")
+	if err := checkTile(t); err != nil {
+		return TileResult{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return TileResult{}, err

@@ -24,6 +24,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -117,14 +118,53 @@ func (w *LocalWorker) Shards() int { return w.shards }
 // chunks of both the vote and the integration, so an abandoned tile stops
 // within one chunk's work.
 func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
-	if t.Stack == nil || t.Stack.Len() == 0 {
-		return TileResult{}, errors.New("cluster: empty tile")
+	if err := checkTile(t); err != nil {
+		return TileResult{}, err
 	}
 	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
 	if err := preprocess(ctx, w.pre, w.rej, t.Stack, w.shards, &res); err != nil {
 		return TileResult{}, err
 	}
 	return res, nil
+}
+
+// checkTile rejects a tile the kernels cannot index safely: no readouts,
+// a missing frame, frames of different sizes, or a frame whose pixel
+// count is not its width times its height. A tile decoded off the worker
+// port is whatever the peer sent, so every worker checks before it
+// indexes.
+func checkTile(t dataset.Tile) error {
+	if t.Stack == nil || t.Stack.Len() == 0 {
+		return errors.New("cluster: empty tile")
+	}
+	var w, h int
+	for i, f := range t.Stack.Frames {
+		if f == nil {
+			return fmt.Errorf("cluster: tile %d frame %d is missing", t.Index, i)
+		}
+		if i == 0 {
+			w, h = f.Width, f.Height
+		}
+		if f.Width != w || f.Height != h || !fits(f) {
+			return fmt.Errorf("cluster: tile %d frame %d is %dx%d with %d pixels; frame 0 is %dx%d",
+				t.Index, i, f.Width, f.Height, len(f.Pix), w, h)
+		}
+	}
+	return nil
+}
+
+// fits reports whether im holds exactly Width x Height pixels. It divides
+// rather than multiplies, so hostile dimensions cannot overflow into a
+// match.
+func fits(im *dataset.Image) bool {
+	n := len(im.Pix)
+	switch {
+	case im.Width < 0 || im.Height < 0:
+		return false
+	case im.Width == 0 || im.Height == 0:
+		return n == 0
+	}
+	return n%im.Width == 0 && n/im.Width == im.Height
 }
 
 // shardScratch is the warm workspace one shard checks out of scratchPool

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -346,6 +347,43 @@ func TestLocalWorkerRejectsEmptyTile(t *testing.T) {
 	}
 	if _, err := w.ProcessTile(context.Background(), dataset.Tile{}); err == nil {
 		t.Fatal("empty tile should error")
+	}
+}
+
+// misshapenTiles are tiles a peer can put on the worker port (or a caller
+// can hand a worker) that the kernels cannot index: each must be refused
+// with an error, not a panic.
+func misshapenTiles() map[string]dataset.Tile {
+	frames := func(fs ...*dataset.Image) dataset.Tile {
+		return dataset.Tile{Index: 3, Stack: &dataset.Stack{Frames: fs}}
+	}
+	return map[string]dataset.Tile{
+		"nil frame":     frames(dataset.NewImage(8, 8), nil, dataset.NewImage(8, 8)),
+		"smaller frame": frames(dataset.NewImage(8, 8), dataset.NewImage(4, 4)),
+		"short pixels":  frames(dataset.NewImage(8, 8), &dataset.Image{Width: 8, Height: 8, Pix: make(dataset.Pixels, 10)}),
+		"long pixels":   frames(&dataset.Image{Width: 4, Height: 4, Pix: make(dataset.Pixels, 17)}),
+		"negative size": frames(&dataset.Image{Width: -4, Height: -4, Pix: make(dataset.Pixels, 16)}),
+		"overflow size": frames(&dataset.Image{Width: 1 << (bits.UintSize / 2), Height: 1 << (bits.UintSize / 2)}),
+	}
+}
+
+func TestWorkersRejectMisshapenTile(t *testing.T) {
+	local, err := NewLocalWorker(nil, crreject.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptiveCfg := DefaultAdaptiveConfig(testModel())
+	adaptiveCfg.Budget = 1
+	adaptive, err := NewAdaptive(adaptiveCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tile := range misshapenTiles() {
+		for _, w := range []Worker{local, adaptive} {
+			if _, err := w.ProcessTile(context.Background(), tile); err == nil {
+				t.Errorf("%T served a tile with a %s", w, name)
+			}
+		}
 	}
 }
 

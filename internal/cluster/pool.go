@@ -605,6 +605,9 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 		start = time.Now()
 	}
 	res, err := pw.w.ProcessTile(ctx, cloneTile(j.tile))
+	if err == nil {
+		err = checkResult(j.tile, res)
+	}
 	if p.tracer != nil {
 		d := time.Since(start)
 		p.met.tileProcess.Observe(d)
@@ -687,6 +690,26 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 	}
 	sub.results <- res
 	sub.account(1)
+}
+
+// checkResult rejects an answer that does not fit the tile it was
+// dispatched for: another index or origin, no image, or an image of
+// another size. finalize blits each result by its own geometry, so a
+// misfit would panic the master or be served inside the frame; the pool
+// treats it as a worker fault instead.
+func checkResult(t dataset.Tile, res TileResult) error {
+	w, h := t.Stack.Width(), t.Stack.Height()
+	switch {
+	case res.Index != t.Index || res.X0 != t.X0 || res.Y0 != t.Y0:
+		return fmt.Errorf("cluster: worker answered tile %d at (%d,%d) for tile %d at (%d,%d)",
+			res.Index, res.X0, res.Y0, t.Index, t.X0, t.Y0)
+	case res.Image == nil:
+		return fmt.Errorf("cluster: worker returned no image for tile %d", t.Index)
+	case res.Image.Width != w || res.Image.Height != h || !fits(res.Image):
+		return fmt.Errorf("cluster: worker returned a %dx%d image with %d pixels for %dx%d tile %d",
+			res.Image.Width, res.Image.Height, len(res.Image.Pix), w, h, t.Index)
+	}
+	return nil
 }
 
 // requeue puts a job back on the shared queue without blocking the calling

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,6 +39,64 @@ func (w *tripWorker) ProcessTile(context.Context, dataset.Tile) (TileResult, err
 		close(w.tripped)
 	}
 	return TileResult{}, errors.New("injected persistent fault")
+}
+
+// misfitWorker mangles its first result with misfit and serves every later
+// tile faithfully: a worker that answers once with the wrong shape.
+type misfitWorker struct {
+	inner  Worker
+	misfit func(*TileResult)
+	done   atomic.Bool
+}
+
+func (w *misfitWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
+	res, err := w.inner.ProcessTile(ctx, t)
+	if err == nil && !w.done.Swap(true) {
+		w.misfit(&res)
+	}
+	return res, err
+}
+
+// TestPoolRetriesMisfitResult proves the pool checks each answer against
+// the tile it dispatched: no image, an image of another size, or another
+// tile's index or origin is a worker fault, charged and retried like a
+// crash, and never blitted into the served frame.
+func TestPoolRetriesMisfitResult(t *testing.T) {
+	sc := testScene(t, 44)
+	ref, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(sc.Observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	for name, misfit := range map[string]func(*TileResult){
+		"nil image":    func(r *TileResult) { r.Image = nil },
+		"4x4 image":    func(r *TileResult) { r.Image = dataset.NewImage(4, 4) },
+		"short pixels": func(r *TileResult) { r.Image.Pix = r.Image.Pix[:10] },
+		"wrong index":  func(r *TileResult) { r.Index++ },
+		"wrong origin": func(r *TileResult) { r.X0 += 8 },
+	} {
+		pool, err := NewPool(WithPoolTileSize(8), WithPoolRetries(1),
+			WithBreaker(3, time.Millisecond, 10*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.AddWorker(&misfitWorker{inner: localWorkers(t, 1, nil)[0], misfit: misfit})
+		res := <-pool.Submit(context.Background(), sc.Observed)
+		pool.Close()
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
+		}
+		if res.Retries != 1 {
+			t.Errorf("%s: %d retries, want the misfit charged once", name, res.Retries)
+		}
+		if !slices.Equal(res.Image.Pix, want.Image.Pix) {
+			t.Errorf("%s: served frame differs from a healthy run", name)
+		}
+	}
 }
 
 // TestPoolQuarantinesAndReadmitsFailingWorker is the acceptance scenario: a

@@ -45,11 +45,15 @@ type response struct {
 	Spans []telemetry.TraceEvent
 }
 
+// wireSlack is what a worker-port value may cost beyond its pixels' 2
+// bytes each: gob's type definitions and framing, a result's stats and
+// the spans it carries back.
+const wireSlack = 64 << 10
+
 // maxRequestBytes bounds the wire bytes of one request on the worker port:
-// the gob size of the largest baseline the serve port admits by default
-// (256 MiB of uint16 pixels, at most 3 bytes each as gob varints), plus
-// 64 KiB for type definitions and framing.
-const maxRequestBytes = 384<<20 + 64<<10
+// the largest baseline the serve port admits by default, 256 MiB of
+// pixels that cross as little-endian bytes, plus wireSlack.
+const maxRequestBytes = 256<<20 + wireSlack
 
 // Server exposes a Worker over TCP. With WithServerTelemetry it records
 // request counters and serve latency. Idle connections may wait between
@@ -260,6 +264,9 @@ func (w *RemoteWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 	if err := ctx.Err(); err != nil {
 		return TileResult{}, err
 	}
+	if err := checkTile(t); err != nil {
+		return TileResult{}, err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.conn == nil {
@@ -278,8 +285,10 @@ func (w *RemoteWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 		w.teardown()
 		return TileResult{}, transportErr(ctx, "send", t.Index, err)
 	}
+	// The answer is one image of the tile's size, so that bounds what the
+	// slave may make this side read.
 	var resp response
-	if err := w.conn.Recv(&resp, wire.NoLimit, 0); err != nil {
+	if err := w.conn.Recv(&resp, 2*int64(t.Stack.Width())*int64(t.Stack.Height())+wireSlack, 0); err != nil {
 		w.teardown()
 		return TileResult{}, transportErr(ctx, "receive", t.Index, err)
 	}

@@ -100,8 +100,8 @@ func expectDropped(t *testing.T, conn net.Conn) {
 	}
 }
 
-// transportTiles returns an 8x8 tile (a few KiB of gob) and a 32x32 tile
-// (over 64 KiB) of one scene.
+// transportTiles returns an 8x8 tile (8 KiB of pixels) and a 32x32 tile
+// (128 KiB of pixels) of one scene.
 func transportTiles(t *testing.T) (small, big dataset.Tile) {
 	t.Helper()
 	sc := testScene(t, 51)
@@ -170,4 +170,64 @@ func TestWorkerPortDropsGarbage(t *testing.T) {
 	if res.Index != small.Index {
 		t.Fatalf("fresh Dial served tile %d, want %d", res.Index, small.Index)
 	}
+}
+
+// TestWorkerPortAnswersMisshapenTile proves a tile whose frames do not
+// match their own geometry is answered with an error rather than
+// crashing the worker, and the connection stays in service.
+func TestWorkerPortAnswersMisshapenTile(t *testing.T) {
+	small, _ := transportTiles(t)
+	p := dialRaw(t, workerPort(t, maxRequestBytes, time.Minute))
+	for name, tile := range misshapenTiles() {
+		if name == "nil frame" {
+			continue // gob cannot encode a nil element; a peer sends a zero frame instead
+		}
+		if err := p.send(t, tile, -1); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := p.dec.Decode(&resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.Err == "" {
+			t.Fatalf("%s: served, want an error", name)
+		}
+	}
+	p.roundTrip(t, small)
+}
+
+// rawPixels puts its bytes on the wire as a pixel payload verbatim, odd
+// lengths included; the types below mirror request's gob shape around
+// it.
+type rawPixels []byte
+
+func (r rawPixels) GobEncode() ([]byte, error) { return r, nil }
+
+type (
+	rawRequest struct{ Tile rawTile }
+	rawTile    struct {
+		Index int
+		Stack *rawStack
+	}
+	rawStack struct{ Frames []*rawImage }
+	rawImage struct {
+		Width, Height int
+		Pix           rawPixels
+	}
+)
+
+// TestWorkerPortDropsOddPixelPayload proves a pixel payload that is not a
+// whole number of 16-bit pixels fails the decode and drops the
+// connection unanswered.
+func TestWorkerPortDropsOddPixelPayload(t *testing.T) {
+	small, _ := transportTiles(t)
+	p := dialRaw(t, workerPort(t, maxRequestBytes, time.Minute))
+	p.roundTrip(t, small)
+	req := rawRequest{Tile: rawTile{Index: 1, Stack: &rawStack{Frames: []*rawImage{{Width: 1, Height: 2, Pix: rawPixels{1, 2, 3}}}}}}
+	p.buf.Reset()
+	if err := p.enc.Encode(&req); err != nil {
+		t.Fatal(err)
+	}
+	p.conn.Write(p.buf.Bytes()) //nolint:errcheck // the server may cut the write short
+	expectDropped(t, p.conn)
 }

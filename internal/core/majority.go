@@ -98,11 +98,11 @@ func (MajorityBit3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScr
 			copy(cur, out)
 			left := prev1 // original frame t-1
 			if t == 0 {
-				left = s.Frames[2].Pix[base : base+cnt] // P(0) = P(3), still raw
+				left = dataset.Series(s.Frames[2].Pix[base : base+cnt]) // P(0) = P(3), still raw
 			}
 			right := prev2 // original frame n-3 at the tail
 			if t < n-1 {
-				right = s.Frames[t+1].Pix[base : base+cnt] // raw, not yet voted
+				right = dataset.Series(s.Frames[t+1].Pix[base : base+cnt]) // raw, not yet voted
 			}
 			for i := 0; i < cnt; i++ {
 				out[i] = bitutil.MajorityVote3(left[i], cur[i], right[i])

@@ -40,12 +40,12 @@ func (s Series) Clone() Series {
 type Image struct {
 	Width  int
 	Height int
-	Pix    []uint16
+	Pix    Pixels
 }
 
 // NewImage returns a zeroed Image of the given dimensions.
 func NewImage(width, height int) *Image {
-	return &Image{Width: width, Height: height, Pix: make([]uint16, width*height)}
+	return &Image{Width: width, Height: height, Pix: make(Pixels, width*height)}
 }
 
 // At returns the pixel at (x, y). It panics if the coordinate is out of

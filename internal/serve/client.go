@@ -10,6 +10,7 @@ import (
 
 	"spaceproc/internal/breaker"
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/rice"
 	"spaceproc/internal/serve/ring"
 	"spaceproc/internal/telemetry"
 	"spaceproc/internal/wire"
@@ -393,6 +394,18 @@ func endAttempt(att *telemetry.TraceSpan, retryIn time.Duration, err error) {
 	att.End()
 }
 
+// resultBudget bounds the wire bytes of a served result for a w x h
+// request: the image's little-endian pixels, the Rice payload at its
+// worst, and maxHeaderBytes for stats, framing and type definitions.
+// Rice's worst case escapes every block to verbatim: a 4-byte sample
+// count, then per block of up to rice.BlockSize samples a 5-bit k and 16
+// bits a sample.
+func resultBudget(w, h int) int64 {
+	n := int64(w) * int64(h)
+	blocks := (n + rice.BlockSize - 1) / rice.BlockSize
+	return 2*n + 4 + (5*blocks+16*n+7)/8 + maxHeaderBytes
+}
+
 // terminalError marks a server-reported failure that retrying cannot fix.
 type terminalError struct{ err error }
 
@@ -430,7 +443,7 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 		return nil, 0, fmt.Errorf("serve: send header: %w", err)
 	}
 	var verdict response
-	if err := c.conn.Recv(&verdict, wire.NoLimit, 0); err != nil {
+	if err := c.conn.Recv(&verdict, maxHeaderBytes, 0); err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive admission: %w", err)
 	}
@@ -451,16 +464,19 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 		}
 	}
 	var final response
-	if err := c.conn.Recv(&final, wire.NoLimit, 0); err != nil {
+	if err := c.conn.Recv(&final, resultBudget(s.Width(), s.Height()), 0); err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive result: %w", err)
 	}
 	switch final.Status {
 	case StatusOK:
-		if final.Result == nil {
-			return &Result{}, -1, nil
+		res := final.Result
+		if res == nil || res.Image == nil || res.Image.Width != s.Width() || res.Image.Height != s.Height() ||
+			len(res.Image.Pix) != s.Width()*s.Height() {
+			c.teardown()
+			return nil, 0, fmt.Errorf("serve: served image does not match the %dx%d request", s.Width(), s.Height())
 		}
-		return final.Result, -1, nil
+		return res, -1, nil
 	case StatusShed, StatusDraining:
 		// A post-admission shed: a router admitted the request but found
 		// every fleet candidate saturated by the time it forwarded. The

@@ -21,11 +21,17 @@ import (
 // Admission is decided on the header alone, before the payload is on the
 // wire: a shed request costs the network a few hundred bytes, not the
 // multi-megabyte baseline. Shed and Draining responses carry a RetryAfter
-// hint the client honors as the floor of its backoff. The server reads
-// every value through a byte budget (maxHeaderBytes for a header, the
-// pixels the header declared for each frame) and, once the value starts
-// arriving, within the receive timeout; the wait for the next header is
-// unbounded.
+// hint the client honors as the floor of its backoff.
+//
+// Pixels cross as little-endian bytes, exactly 2 per pixel: the gob codec
+// of dataset.Pixels, so peers must run the same build of that type. Every
+// read is therefore budgeted from what the reader already knows. The
+// server reads a header within maxHeaderBytes and each frame within its
+// declared W·H·2 pixel bytes plus maxHeaderBytes, each once it starts
+// arriving within the receive timeout; the wait for the next header is
+// unbounded. The client reads the verdict within maxHeaderBytes and the
+// result within its image's pixel bytes, the Rice payload's worst case
+// and maxHeaderBytes.
 
 // Status is the server's verdict in a response frame.
 type Status int
@@ -152,8 +158,8 @@ type response struct {
 	RetryAfter time.Duration
 	// Err accompanies StatusError.
 	Err string
-	// Result accompanies StatusOK. gob omits a Result whose fields are all
-	// zero, so the client reads a missing one as &Result{}.
+	// Result accompanies StatusOK. Its image is the request's size; a
+	// client fails the attempt on any other.
 	Result *Result
 }
 

@@ -327,11 +327,12 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 
 	// Receive the baseline. A decode fault here leaves the stream
 	// unsynchronized, so the connection is dropped. Each frame may cost its
-	// pixels at gob's worst 3 bytes each plus the header allowance (framing
-	// and the one-time type definitions), and must land within the receive
-	// timeout so a stalled client cannot pin its admission slot.
+	// pixels' little-endian bytes, exactly 2 each, plus the header
+	// allowance (framing and the one-time type definitions), and must land
+	// within the receive timeout so a stalled client cannot pin its
+	// admission slot.
 	recv := child(StageReceive, fmt.Sprintf("frames_%d", hdr.Frames))
-	frameBudget := int64(hdr.Width)*int64(hdr.Height)*3 + maxHeaderBytes
+	frameBudget := int64(hdr.Width)*int64(hdr.Height)*2 + maxHeaderBytes
 	stack := &dataset.Stack{Frames: make([]*dataset.Image, hdr.Frames)}
 	for i := range stack.Frames {
 		var frame dataset.Image

@@ -14,6 +14,7 @@ import (
 	"spaceproc/internal/cluster"
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/rice"
+	"spaceproc/internal/rng"
 	"spaceproc/internal/telemetry"
 )
 
@@ -185,9 +186,8 @@ func TestPayloadWireBudgetEnforced(t *testing.T) {
 	if resp.Status != StatusAccepted {
 		t.Fatalf("want accepted, got %v", resp.Status)
 	}
-	// A 2x2 header earns ~64 KiB of wire budget; stream a frame whose gob
-	// encoding is several times that (large pixel values encode as 3-byte
-	// varints).
+	// A 2x2 header earns 8 bytes of pixels plus 64 KiB of wire budget;
+	// stream a frame whose 2-byte pixels come to twice that.
 	huge := dataset.NewImage(256, 256)
 	for i := range huge.Pix {
 		huge.Pix[i] = 60000
@@ -658,6 +658,111 @@ func TestClientRetriesTransportFault(t *testing.T) {
 	}
 	if res.Image == nil {
 		t.Fatal("missing image")
+	}
+}
+
+// rawPixels puts its bytes on the wire as a pixel payload verbatim, odd
+// lengths included, as a broken peer might; rawImage carries it in
+// dataset.Image's gob shape.
+type rawPixels []byte
+
+func (r rawPixels) GobEncode() ([]byte, error) { return r, nil }
+
+type rawImage struct {
+	Width, Height int
+	Pix           rawPixels
+}
+
+// TestOddPixelPayloadDropsConnection proves a frame whose pixel payload is
+// not a whole number of 16-bit pixels fails the decode and drops the
+// connection without a response.
+func TestOddPixelPayloadDropsConnection(t *testing.T) {
+	fb := &fakeBackend{}
+	_, addr := startServer(t, fb)
+	_, enc, dec := rawConn(t, addr)
+	if err := enc.Encode(&header{Frames: 1, Width: 1, Height: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusAccepted {
+		t.Fatalf("want accepted, got %v", resp.Status)
+	}
+	if err := enc.Encode(&rawImage{Width: 1, Height: 2, Pix: rawPixels{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&resp); err == nil {
+		t.Fatalf("odd pixel payload should drop the connection, got %v", resp.Status)
+	}
+	if fb.submits.Load() != 0 {
+		t.Fatal("a frame that failed to decode reached the backend")
+	}
+}
+
+// TestClientRejectsMisfitResult serves a 2x2 request from a raw server
+// that answers with a result of another size. The client must fail the
+// attempt instead of returning it: a 1024x1024 image overruns the read
+// budget the request earns, and the smaller misfits arrive within it but
+// do not match.
+func TestClientRejectsMisfitResult(t *testing.T) {
+	for name, res := range map[string]*Result{
+		"1024x1024 image": {Image: dataset.NewImage(1024, 1024)},
+		"2x1 image":       {Image: dataset.NewImage(2, 1)},
+		"short pixels":    {Image: &dataset.Image{Width: 2, Height: 2, Pix: make(dataset.Pixels, 3)}},
+		"no image":        {Compressed: []byte{1}},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+			var hdr header
+			if dec.Decode(&hdr) != nil || enc.Encode(&response{Status: StatusAccepted}) != nil {
+				return
+			}
+			for i := 0; i < hdr.Frames; i++ {
+				var f dataset.Image
+				if dec.Decode(&f) != nil {
+					return
+				}
+			}
+			enc.Encode(&response{Status: StatusOK, Result: res}) //nolint:errcheck // the client may hang up mid-result
+		}()
+		c, err := DialClient(ln.Addr().String(), WithRetryPolicy(1, time.Millisecond, time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Process(context.Background(), testStack(2, 2, 2))
+		c.Close()
+		ln.Close()
+		if err == nil {
+			t.Errorf("%s: client returned the result for a 2x2 request", name)
+		}
+	}
+}
+
+// TestResultBudgetCoversRiceWorstCase checks the client's result budget
+// against what the Rice coder actually emits on incompressible pixels,
+// where every block escapes to verbatim.
+func TestResultBudgetCoversRiceWorstCase(t *testing.T) {
+	src := rng.New(7)
+	for _, n := range []int{1, 31, 32, 33, 1000, 128 * 128} {
+		px := make([]uint16, n)
+		for i := range px {
+			px[i] = uint16(src.Uint64())
+		}
+		worst := int64(len(rice.Encode(px)))
+		if room := resultBudget(n, 1) - 2*int64(n) - maxHeaderBytes; room < worst {
+			t.Errorf("%d samples: budget leaves %d bytes for a %d-byte Rice payload", n, room, worst)
+		}
 	}
 }
 

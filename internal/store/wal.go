@@ -76,13 +76,8 @@ func StackDigest(s *dataset.Stack) Digest {
 	binary.LittleEndian.PutUint32(dims[4:], uint32(s.Width()))
 	binary.LittleEndian.PutUint32(dims[8:], uint32(s.Height()))
 	h.Write(dims[:])
-	buf := make([]byte, 0, 4096)
 	for _, f := range s.Frames {
-		buf = buf[:0]
-		for _, p := range f.Pix {
-			buf = binary.LittleEndian.AppendUint16(buf, p)
-		}
-		h.Write(buf)
+		h.Write(f.Pix.LE())
 	}
 	var d Digest
 	copy(d[:], h.Sum(nil))
@@ -321,15 +316,16 @@ func (w *WAL) Close() error {
 }
 
 // writeEntry appends one ENTRY record and its size-capped CHUNK records.
+// The payload is the frames' little-endian pixel bytes back to back; each
+// CHUNK is filled from those views into one reused record buffer, so a
+// chunk may start in one frame and end in another.
 func writeEntry(f *os.File, e *WALEntry, chunkBytes int) error {
 	s := e.Stack
-	payload := make([]byte, 0, s.Len()*s.Width()*s.Height()*2)
+	size := 0
 	for _, fr := range s.Frames {
-		for _, p := range fr.Pix {
-			payload = binary.LittleEndian.AppendUint16(payload, p)
-		}
+		size += 2 * len(fr.Pix)
 	}
-	chunks := (len(payload) + chunkBytes - 1) / chunkBytes
+	chunks := (size + chunkBytes - 1) / chunkBytes
 	if chunks == 0 {
 		chunks = 1 // an empty payload still writes one (empty) chunk
 	}
@@ -349,16 +345,18 @@ func writeEntry(f *os.File, e *WALEntry, chunkBytes int) error {
 		return err
 	}
 
+	cb := make([]byte, 0, 12+min(chunkBytes, size))
+	rest, le := s.Frames, []byte(nil) // le: the current frame's unwritten bytes
 	for i := 0; i < chunks; i++ {
-		lo := i * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		cb := make([]byte, 0, 12+hi-lo)
-		cb = binary.BigEndian.AppendUint64(cb, e.Seq)
+		cb = binary.BigEndian.AppendUint64(cb[:0], e.Seq)
 		cb = binary.BigEndian.AppendUint32(cb, uint32(i))
-		cb = append(cb, payload[lo:hi]...)
+		for len(cb) < cap(cb) && (len(le) > 0 || len(rest) > 0) {
+			if len(le) == 0 {
+				le, rest = rest[0].Pix.LE(), rest[1:]
+			}
+			n := copy(cb[len(cb):cap(cb)], le)
+			cb, le = cb[:len(cb)+n], le[n:]
+		}
 		if err := writeRecord(f, recChunk, cb); err != nil {
 			return err
 		}
@@ -488,13 +486,12 @@ func scanWAL(raw []byte) ([]*WALEntry, *WALReport, uint64) {
 			rep.Corrupt++
 			continue
 		}
-		st := dataset.NewStack(pe.frames, pe.width, pe.height)
-		p := pe.buf
-		for _, fr := range st.Frames {
-			for i := range fr.Pix {
-				fr.Pix[i] = binary.LittleEndian.Uint16(p)
-				p = p[2:]
-			}
+		st := &dataset.Stack{Frames: make([]*dataset.Image, pe.frames)}
+		n := pe.width * pe.height * 2
+		for i := range st.Frames {
+			fr := &dataset.Image{Width: pe.width, Height: pe.height}
+			fr.Pix.GobDecode(pe.buf[i*n : (i+1)*n]) //nolint:errcheck // n is even
+			st.Frames[i] = fr
 		}
 		pe.entry.Stack = st
 		out = append(out, pe.entry)

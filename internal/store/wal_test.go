@@ -1,6 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,6 +56,87 @@ func TestStackDigest(t *testing.T) {
 	}
 	if StackDigest(c) == StackDigest(d) {
 		t.Fatal("reshaped stack must change the digest")
+	}
+}
+
+// pinStack builds a baseline whose pixels use both bytes of the 16-bit
+// range, so a byte-order slip anywhere in the layout changes the bytes.
+func pinStack(frames, w, h int) *dataset.Stack {
+	s := dataset.NewStack(frames, w, h)
+	for f, fr := range s.Frames {
+		for i := range fr.Pix {
+			fr.Pix[i] = uint16((f+1)*0x9e37) ^ uint16(i*0x85eb)
+		}
+	}
+	return s
+}
+
+// TestStackDigestGolden pins the content address byte for byte: a
+// digest change silently empties every dedupe cache and orphans every
+// logged digest, so the values here were taken once and must not move.
+func TestStackDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		frames, w, h int
+		want         string
+	}{
+		{"1x1", 3, 1, 1, "2f55d0cc39e48e1c82c510df3039de05ec04189a12d9768079962d83646080eb"},
+		{"odd_width", 5, 7, 3, "f1b1d6e65d46c62b0a6fe27202ef62aa94e9944e80d122cdec9f8a4b626a63db"},
+		{"single_frame", 1, 16, 16, "9b30b3dc5e23bfd10bb9a0a171ff96850c8fe9bfcb8fb54cc68c3cac72cd9025"},
+	} {
+		got := StackDigest(pinStack(tc.frames, tc.w, tc.h))
+		if hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("%s: digest %x, want %s", tc.name, got[:], tc.want)
+		}
+	}
+}
+
+// TestWALBytesGolden pins the on-disk log: the SHA-256 of ingest.wal after
+// fixed appends and a commit, with an odd chunk size that makes CHUNK
+// records straddle frame boundaries and split a pixel's two bytes. A log
+// written by one build must replay on the next, so these bytes must not
+// move either; the log must also replay to the same stacks.
+func TestWALBytesGolden(t *testing.T) {
+	const want = "60ed39cc4d60cc5d9e07bed7dde6444603fc8d6b96a24573b86890054e933a3e"
+	dir := t.TempDir()
+	w, _, _, err := OpenWAL(dir, WALOptions{ChunkBytes: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks := []*dataset.Stack{pinStack(3, 7, 5), pinStack(1, 1, 1), pinStack(4, 9, 2)}
+	var seqs []uint64
+	for i, s := range stacks {
+		seq, err := w.Append(fmt.Sprintf("client%d", i), fmt.Sprintf("key%d", i), StackDigest(s), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	if err := w.Commit(seqs[1]); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(raw); hex.EncodeToString(got[:]) != want {
+		t.Errorf("ingest.wal (%d bytes) sha256 %x, want %s", len(raw), got[:], want)
+	}
+
+	w2, entries, rep, err := OpenWAL(dir, WALOptions{ChunkBytes: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if len(entries) != 2 || rep.Corrupt != 0 || rep.Committed != 1 {
+		t.Fatalf("replayed %d entries, report %+v", len(entries), rep)
+	}
+	for i, want := range []*dataset.Stack{stacks[0], stacks[2]} {
+		samePixels(t, want, entries[i].Stack)
+		if entries[i].Digest != StackDigest(want) {
+			t.Fatalf("entry %d: digest not preserved", i)
+		}
 	}
 }
 

@@ -9,18 +9,27 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"spaceproc/internal/dataset"
 )
 
-// sample stands in for the transports' messages: strings, ints, a pixel
-// slice, a nested pointer, a time and a map.
+// sample stands in for the transports' messages: strings, ints, a plain
+// slice, the pixel codec, a nested pointer, a time and a map.
 type sample struct {
-	Name string
-	N    int
-	Pix  []uint16
-	Next *sample
-	When time.Time
-	Tags map[string]int
+	Name   string
+	N      int
+	Pix    []uint16
+	Pixels dataset.Pixels
+	Next   *sample
+	When   time.Time
+	Tags   map[string]int
 }
+
+// rawPixels puts its bytes on the wire as a pixel payload verbatim, odd
+// lengths included, as a broken peer might.
+type rawPixels []byte
+
+func (r rawPixels) GobEncode() ([]byte, error) { return r, nil }
 
 // countingConn counts the bytes read through it.
 type countingConn struct {
@@ -320,9 +329,16 @@ func TestListenerStopCloseConnsClose(t *testing.T) {
 func FuzzRecv(f *testing.F) {
 	var buf bytes.Buffer
 	gob.NewEncoder(&buf).Encode(&sample{Name: "seed", N: -3, Pix: []uint16{1, 60000}, //nolint:errcheck // a bytes.Buffer cannot fail
-		Next: &sample{Tags: map[string]int{"x": 2}}, When: time.Unix(1e9, 0)})
+		Pixels: dataset.Pixels{7, 0xff00, 60000},
+		Next:   &sample{Tags: map[string]int{"x": 2}}, When: time.Unix(1e9, 0)})
 	f.Add(buf.Bytes(), int64(buf.Len()))
 	f.Add(buf.Bytes(), int64(buf.Len()/2))
+	var odd bytes.Buffer
+	gob.NewEncoder(&odd).Encode(&struct { //nolint:errcheck // as above
+		Name   string
+		Pixels rawPixels
+	}{"odd", rawPixels{1, 2, 3}})
+	f.Add(odd.Bytes(), int64(odd.Len()))
 	f.Add([]byte{0xff, 0xff, 0xff}, int64(64))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), int64(1<<10))
 	f.Fuzz(func(t *testing.T, data []byte, budget int64) {

@@ -21,6 +21,9 @@ type (
 	// Series is the temporal sequence of 16-bit readings of one detector
 	// coordinate within a baseline.
 	Series = dataset.Series
+	// Pixels is a run of 16-bit pixels, carried as little-endian bytes
+	// on the wire, in the content digest and in the write-ahead log.
+	Pixels = dataset.Pixels
 	// Image is a 2-D frame of 16-bit pixels.
 	Image = dataset.Image
 	// Stack is one baseline: N readout frames.
