@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -103,23 +104,23 @@ func BenchmarkPipelineRun(b *testing.B) {
 			name = "ShardsAuto"
 		}
 		b.Run(name, func(b *testing.B) {
-			workers := make([]spaceproc.Worker, 4)
-			for i := range workers {
+			pool, err := spaceproc.NewWorkerPool(spaceproc.WithPoolTileSize(32))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(pool.Close)
+			for i := 0; i < 4; i++ {
 				w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig(), spaceproc.WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
-				workers[i] = w
-			}
-			master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-			if err != nil {
-				b.Fatal(err)
+				pool.AddWorker(w)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := master.Run(scene.Observed); err != nil {
-					b.Fatal(err)
+				if res := <-pool.Submit(context.Background(), scene.Observed); res.Err != nil {
+					b.Fatal(res.Err)
 				}
 			}
 		})

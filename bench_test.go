@@ -2,6 +2,7 @@ package spaceproc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"slices"
@@ -230,24 +231,24 @@ func BenchmarkFig1PipelineTelemetry(b *testing.B) {
 		b.Fatal(err)
 	}
 	pre.Instrument(reg)
-	workers := make([]spaceproc.Worker, 4)
-	for i := range workers {
+	pool, err := spaceproc.NewWorkerPool(
+		spaceproc.WithPoolTileSize(32), spaceproc.WithPoolTelemetry(reg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(pool.Close)
+	for i := 0; i < 4; i++ {
 		w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		workers[i] = w
-	}
-	master, err := spaceproc.NewMaster(workers,
-		spaceproc.WithTileSize(32), spaceproc.WithTelemetry(reg))
-	if err != nil {
-		b.Fatal(err)
+		pool.AddWorker(w)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := master.Run(scene.Observed); err != nil {
-			b.Fatal(err)
+		if res := <-pool.Submit(context.Background(), scene.Observed); res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 }

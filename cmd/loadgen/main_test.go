@@ -28,7 +28,7 @@ func startDaemon(t *testing.T) string {
 		}
 		pool.AddWorker(lw)
 	}
-	daemon, err := spaceproc.NewDaemon(pool)
+	daemon, err := spaceproc.NewDaemonWith(pool, spaceproc.DefaultServeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

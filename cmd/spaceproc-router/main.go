@@ -1,5 +1,5 @@
 // Command spaceproc-router fronts a fleet of spaceprocd daemons: it
-// speaks the same wire protocol and runs the same admission core as a
+// speaks the same wire protocol and runs the same admission path as a
 // daemon (bounded inflight, per-client quotas, shed hints, graceful
 // drain), but admitted requests are placed on a consistent-hash ring
 // keyed by client/dataset ID and forwarded to the owning daemon —
@@ -83,9 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.VirtualNodes = *vnodes
 	cfg.RingSeed = *ringSeed
 	cfg.ProbeInterval = *probeInterval
-	if *probeInterval <= 0 {
-		cfg.ProbeInterval = -1
-	}
 	cfg.ProbeFailures = *probeFailures
 	cfg.SpillDepth = *spillDepth
 	cfg.Telemetry = reg

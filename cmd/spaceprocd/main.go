@@ -39,8 +39,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxInflight := fs.Int("max-inflight", spaceproc.DefaultWorkers, "admitted requests before shedding")
 	perClient := fs.Int("per-client", 0, "per-client inflight quota (0: global limit only)")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "retry hint carried by shed responses")
-	batchMax := fs.Int("batch-max", 8, "requests per pool submission wave")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill")
+	batchMax := fs.Int("batch-max", 8, "requests per pool submission wave (<= 1 disables batching)")
+	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill (0 disables batching)")
 	maxReqBytes := fs.Int64("max-request-bytes", 256<<20, "payload budget one request may declare")
 	recvTimeout := fs.Duration("recv-timeout", 30*time.Second, "bound on receiving one header or payload frame once it starts arriving")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
@@ -90,16 +90,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scfg.MaxInflight = *maxInflight
 	scfg.PerClientQuota = *perClient
 	scfg.RetryAfter = *retryAfter
-	// A zero ServeConfig field means "default"; the flags' zero means
-	// "disabled", which the config spells as a negative.
 	scfg.BatchMax = *batchMax
-	if *batchMax <= 0 {
-		scfg.BatchMax = -1
-	}
 	scfg.BatchWindow = *batchWindow
-	if *batchWindow <= 0 {
-		scfg.BatchWindow = -1
-	}
 	scfg.MaxRequestBytes = *maxReqBytes
 	scfg.ReceiveTimeout = *recvTimeout
 	scfg.WALDir = *walDir

@@ -31,17 +31,17 @@
 //
 // The pipeline carries an optional, dependency-free telemetry layer
 // (internal/telemetry, re-exported here as TelemetryRegistry and friends).
-// Attach a registry to a Master with WithTelemetry to record per-tile
-// dispatch/process/retry/blit spans, per-worker latency histograms with
-// p50/p95/p99 summaries, and pipeline_* counters; AlgoNGST.Instrument and
-// AlgoOTIS.Instrument feed the preprocessing correction counters
-// (preprocess_*) into the same registry; MissionConfig.Telemetry adds
-// per-baseline stage timings. NewTelemetryServer serves any registry's
-// /metrics, /healthz and /debug/pprof/ over HTTP, for example next to a
-// WorkerServer's port. Workers implement ProcessTile(ctx, tile): context
-// deadlines and cancellation propagate through the master and across the
-// gob transport to the serving node. Uninstrumented pipelines pay
-// nothing.
+// Attach a registry to a WorkerPool with WithPoolTelemetry to record
+// per-tile dispatch/process/retry/blit spans, per-worker latency
+// histograms with p50/p95/p99 summaries, and pipeline_* counters;
+// AlgoNGST.Instrument and AlgoOTIS.Instrument feed the preprocessing
+// correction counters (preprocess_*) into the same registry;
+// MissionConfig.Telemetry adds per-baseline stage timings.
+// NewTelemetryServer serves any registry's /metrics, /healthz and
+// /debug/pprof/ over HTTP, for example next to a WorkerServer's port.
+// Workers implement ProcessTile(ctx, tile): context deadlines and
+// cancellation propagate through the pool and across the gob transport
+// to the serving node. Uninstrumented pipelines pay nothing.
 //
 // The experiment harness that regenerates every figure in the paper's
 // evaluation lives in cmd/experiments; see DESIGN.md for the system

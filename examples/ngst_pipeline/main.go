@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,23 +51,23 @@ func main() {
 		withPre.Stats.Steps, withPre.Stats.Hits, withPre.CompressionRatio())
 }
 
-// runPipeline builds a 4-worker master and processes the stack.
+// runPipeline builds a 4-worker pool and processes the stack.
 func runPipeline(pre spaceproc.SeriesPreprocessor, stack *spaceproc.Stack) *spaceproc.PipelineResult {
-	workers := make([]spaceproc.Worker, 4)
-	for i := range workers {
+	pool, err := spaceproc.NewWorkerPool()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < 4; i++ {
 		w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
-		workers[i] = w
+		pool.AddWorker(w)
 	}
-	master, err := spaceproc.NewMaster(workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := master.Run(stack)
-	if err != nil {
-		log.Fatal(err)
+	res := <-pool.Submit(context.Background(), stack)
+	if res.Err != nil {
+		log.Fatal(res.Err)
 	}
 	return res
 }

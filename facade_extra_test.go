@@ -147,12 +147,14 @@ func TestRunContextThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := spaceproc.NewMaster([]spaceproc.Worker{w}, spaceproc.WithTileSize(32))
+	pool, err := spaceproc.NewWorkerPool(spaceproc.WithPoolTileSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunContext(context.Background(), scene.Observed); err != nil {
-		t.Fatal(err)
+	defer pool.Close()
+	pool.AddWorker(w)
+	if res := <-pool.Submit(context.Background(), scene.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }
 

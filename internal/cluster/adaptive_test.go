@@ -102,13 +102,10 @@ func TestAdaptiveWorkerInPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster([]Worker{w}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{w}, WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if res.Image.Width != 64 {
 		t.Fatal("pipeline output malformed")

@@ -7,32 +7,28 @@
 //
 // Two transports are provided: an in-process pool (goroutines) and a
 // TCP/gob transport (see transport.go) standing in for the Myrinet
-// interconnect. Scheduling lives in the long-lived Pool (see pool.go):
-// workers join and leave at runtime, a circuit breaker quarantines nodes
-// that keep failing, and a bounded shared queue pipelines many baselines
-// concurrently. Master remains as a thin per-baseline client of a Pool
-// for the classic one-baseline-at-a-time call sites.
+// interconnect. The master is the long-lived Pool (see pool.go): Submit
+// fragments a baseline onto its shared queue, workers join and leave at
+// runtime behind per-worker circuit breakers, and the returned channel
+// delivers the reassembled, compressed Result.
 //
-// The pipeline is observable: pass WithTelemetry to NewMaster (or
-// WithPoolTelemetry to NewPool) and it records per-tile
-// dispatch/process/retry/blit spans, per-worker latency histograms keyed
-// by stable worker ID, scheduler health gauges and stage counters into
-// the registry (see internal/telemetry). Without a registry the
-// instrumentation compiles down to nil checks on the hot path.
+// The pipeline is observable: pass WithPoolTelemetry to NewPool and it
+// records per-tile dispatch/process/retry/blit spans, per-worker latency
+// histograms keyed by stable worker ID, scheduler health gauges and stage
+// counters into the registry (see internal/telemetry). Without a registry
+// the instrumentation compiles down to nil checks on the hot path.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 
 	"spaceproc/internal/core"
 	"spaceproc/internal/crreject"
 	"spaceproc/internal/dataset"
-	"spaceproc/internal/telemetry"
 )
 
 // DefaultWorkers is the paper's 16-processor estimate.
@@ -252,7 +248,7 @@ func processRange(ctx context.Context, pre core.SeriesPreprocessor, rej *crrejec
 	return nil
 }
 
-// Result is the master's output for one baseline.
+// Result is the pool's output for one baseline.
 type Result struct {
 	// Image is the reintegrated full-frame image.
 	Image *dataset.Image
@@ -266,10 +262,10 @@ type Result struct {
 	// failure (only charged failures; tiles drained off a quarantined
 	// worker while healthy peers remained are not counted).
 	Retries int
-	// Err is set when the baseline failed (fragmentation error, joined
-	// permanent tile failures, cancellation, or pool shutdown); the other
-	// fields are zero. Pool.Submit delivers failed runs this way so one
-	// channel carries both outcomes; Master.RunContext unwraps it.
+	// Err is set when the baseline failed (fragmentation error, a stack
+	// with no tiles, joined permanent tile failures, cancellation, or pool
+	// shutdown); the other fields are zero. Pool.Submit delivers failed
+	// runs this way so one channel carries both outcomes.
 	Err error
 }
 
@@ -279,15 +275,6 @@ func (r *Result) CompressionRatio() float64 {
 		return 1
 	}
 	return float64(2*len(r.Image.Pix)) / float64(len(r.Compressed))
-}
-
-// Master is the classic per-baseline front end, kept as a thin client of
-// a Pool it owns: NewMaster admits the workers into a private pool and
-// Run/RunContext submit one baseline and wait. New code that wants
-// concurrent baselines, membership churn or health-gated scheduling
-// should construct a Pool directly.
-type Master struct {
-	pool *Pool
 }
 
 // Span stages recorded by the pipeline; tests and dashboards key on these.
@@ -300,100 +287,6 @@ const (
 	StageCompress = "compress"
 	StageRun      = "run"
 )
-
-// masterConfig collects the MasterOption knobs before they translate into
-// PoolOptions.
-type masterConfig struct {
-	tileSize int
-	retries  int
-	tel      *telemetry.Registry
-	log      *slog.Logger
-}
-
-// MasterOption configures a Master.
-type MasterOption func(*masterConfig)
-
-// WithTileSize overrides the 128x128 fragment size.
-func WithTileSize(n int) MasterOption {
-	return func(c *masterConfig) { c.tileSize = n }
-}
-
-// WithRetries sets how many times a tile may be reassigned after worker
-// failures before the baseline is abandoned.
-func WithRetries(n int) MasterOption {
-	return func(c *masterConfig) { c.retries = n }
-}
-
-// WithTelemetry wires the pipeline's instrumentation into reg: per-tile
-// dispatch/process/retry/blit spans, per-worker process-latency histograms
-// keyed by stable worker ID (pipeline_worker_<id>_process), pipeline_*
-// counters, pool health gauges, and distributed trace events into the
-// registry's Tracer (every dispatch, process, retry and deadline expiry
-// becomes a TraceEvent parented under the run's trace).
-func WithTelemetry(reg *telemetry.Registry) MasterOption {
-	return func(c *masterConfig) { c.tel = reg }
-}
-
-// WithLogger routes the pipeline's fault forensics — WARN on every tile
-// retry, ERROR on permanent tile failure — into l, trace-stamped when l's
-// handler is telemetry-aware (see telemetry.NewLogHandler). Without it the
-// master stays silent, as before.
-func WithLogger(l *slog.Logger) MasterOption {
-	return func(c *masterConfig) { c.log = l }
-}
-
-// NewMaster builds a master over the given workers: a compatibility
-// constructor that admits the slice into a private Pool.
-func NewMaster(workers []Worker, opts ...MasterOption) (*Master, error) {
-	if len(workers) == 0 {
-		return nil, errors.New("cluster: no workers")
-	}
-	cfg := masterConfig{tileSize: dataset.TileSize, retries: 2}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	popts := []PoolOption{WithPoolTileSize(cfg.tileSize), WithPoolRetries(cfg.retries)}
-	if cfg.tel != nil {
-		popts = append(popts, WithPoolTelemetry(cfg.tel))
-	}
-	if cfg.log != nil {
-		popts = append(popts, WithPoolLogger(cfg.log))
-	}
-	pool, err := NewPool(popts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range workers {
-		pool.AddWorker(w)
-	}
-	return &Master{pool: pool}, nil
-}
-
-// Pool exposes the master's underlying pool, for callers that start from
-// the compatibility constructor and then want dynamic membership or
-// concurrent submissions.
-func (m *Master) Pool() *Pool { return m.pool }
-
-// Close shuts down the master's pool and its worker runners. Masters used
-// for a whole process lifetime (the common test and cmd pattern) may skip
-// it; the runners park idle.
-func (m *Master) Close() { m.pool.Close() }
-
-// Run executes the pipeline on one baseline stack.
-func (m *Master) Run(s *dataset.Stack) (*Result, error) {
-	return m.RunContext(context.Background(), s)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, in-flight
-// tiles finish but no new tiles are dispatched, and the context's error is
-// returned.
-func (m *Master) RunContext(ctx context.Context, s *dataset.Stack) (*Result, error) {
-	res := <-m.pool.Submit(ctx, s)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res, nil
-}
 
 // blit copies a tile image into the frame.
 func blit(dst *dataset.Image, res TileResult) {

@@ -43,24 +43,32 @@ func localWorkers(t *testing.T, n int, pre core.SeriesPreprocessor) []Worker {
 	return workers
 }
 
-func TestMasterRequiresWorkers(t *testing.T) {
-	if _, err := NewMaster(nil); err == nil {
-		t.Fatal("no workers should error")
+// newPool builds a pool over workers that closes with the test.
+func newPool(t *testing.T, workers []Worker, opts ...PoolOption) *Pool {
+	t.Helper()
+	p, err := NewPool(opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(0)); err == nil {
+	for _, w := range workers {
+		p.AddWorker(w)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+func TestPoolRejectsZeroTileSize(t *testing.T) {
+	if _, err := NewPool(WithPoolTileSize(0)); err == nil {
 		t.Fatal("zero tile size should error")
 	}
 }
 
 func TestPipelineMatchesSerialIntegration(t *testing.T) {
 	sc := testScene(t, 1)
-	m, err := NewMaster(localWorkers(t, 4, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, localWorkers(t, 4, nil), WithPoolTileSize(32))
+	got := <-pool.Submit(context.Background(), sc.Observed)
+	if got.Err != nil {
+		t.Fatal(got.Err)
 	}
 
 	rej, err := crreject.New(crreject.DefaultConfig())
@@ -80,13 +88,10 @@ func TestPipelineMatchesSerialIntegration(t *testing.T) {
 
 func TestPipelineCompressedPayloadDecodes(t *testing.T) {
 	sc := testScene(t, 2)
-	m, err := NewMaster(localWorkers(t, 3, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, localWorkers(t, 3, nil), WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	dec, err := rice.Decode(res.Compressed)
 	if err != nil {
@@ -111,31 +116,25 @@ func TestPipelineWithPreprocessingBeatsWithout(t *testing.T) {
 	// (fault injection on the stack in memory, before processing)
 	injectStack(t, faulty, 0.02, 4)
 
-	mClean, err := NewMaster(localWorkers(t, 4, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idealRes, err := mClean.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	clean := newPool(t, localWorkers(t, 4, nil), WithPoolTileSize(32))
+	idealRes := <-clean.Submit(context.Background(), sc.Observed)
+	if idealRes.Err != nil {
+		t.Fatal(idealRes.Err)
 	}
 
-	noPre, err := mClean.Run(faulty)
-	if err != nil {
-		t.Fatal(err)
+	noPre := <-clean.Submit(context.Background(), faulty)
+	if noPre.Err != nil {
+		t.Fatal(noPre.Err)
 	}
 
 	pre, err := core.NewAlgoNGST(core.DefaultNGSTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mPre, err := NewMaster(localWorkers(t, 4, pre), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPre, err := mPre.Run(faulty.Clone())
-	if err != nil {
-		t.Fatal(err)
+	withPrePool := newPool(t, localWorkers(t, 4, pre), WithPoolTileSize(32))
+	withPre := <-withPrePool.Submit(context.Background(), faulty.Clone())
+	if withPre.Err != nil {
+		t.Fatal(withPre.Err)
 	}
 
 	psiNo := metrics.RelativeError16(noPre.Image.Pix, idealRes.Image.Pix)
@@ -171,13 +170,10 @@ func TestPipelineCollectsPreprocessingTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster(localWorkers(t, 3, pre), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(faulty)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, localWorkers(t, 3, pre), WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), faulty)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if res.PreStats.Series != 64*64 {
 		t.Fatalf("telemetry covered %d series, want %d", res.PreStats.Series, 64*64)
@@ -186,13 +182,10 @@ func TestPipelineCollectsPreprocessingTelemetry(t *testing.T) {
 		t.Fatal("no corrections recorded at 1% damage")
 	}
 	// Without preprocessing there is no telemetry.
-	m2, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := m2.Run(faulty.Clone())
-	if err != nil {
-		t.Fatal(err)
+	pool2 := newPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32))
+	res2 := <-pool2.Submit(context.Background(), faulty.Clone())
+	if res2.Err != nil {
+		t.Fatal(res2.Err)
 	}
 	if res2.PreStats.Series != 0 {
 		t.Fatalf("no-preprocessing run reported telemetry: %+v", res2.PreStats)
@@ -206,13 +199,10 @@ func TestMasterReassignsAfterWorkerFailure(t *testing.T) {
 	// must be re-queued and eventually succeed on the same worker, so
 	// the retry count is deterministic regardless of scheduling.
 	flaky := &flakyWorker{inner: good[0], failures: 2}
-	m, err := NewMaster([]Worker{flaky}, WithTileSize(32), WithRetries(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{flaky}, WithPoolTileSize(32), WithPoolRetries(3))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if res.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", res.Retries)
@@ -232,11 +222,8 @@ func TestMasterReassignsAfterWorkerFailure(t *testing.T) {
 func TestMasterFailsWhenRetriesExhausted(t *testing.T) {
 	sc := testScene(t, 6)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err == nil {
+	pool := newPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err == nil {
 		t.Fatal("pipeline should fail when all workers keep failing")
 	}
 }
@@ -258,15 +245,11 @@ func TestRunContextCancellation(t *testing.T) {
 	sc := testScene(t, 10)
 	inner := localWorkers(t, 1, nil)[0]
 	sw := &slowWorker{inner: inner, started: make(chan struct{}, 8), release: make(chan struct{})}
-	m, err := NewMaster([]Worker{sw}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := newPool(t, []Worker{sw}, WithPoolTileSize(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := m.RunContext(ctx, sc.Observed)
-		errCh <- err
+		errCh <- (<-pool.Submit(ctx, sc.Observed)).Err
 	}()
 	<-sw.started // first tile in flight
 	cancel()
@@ -283,13 +266,10 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestRunContextCompletesWhenNotCancelled(t *testing.T) {
 	sc := testScene(t, 10)
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunContext(context.Background(), sc.Observed)
-	if err != nil || res.Image == nil {
-		t.Fatalf("res=%v err=%v", res, err)
+	pool := newPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil || res.Image == nil {
+		t.Fatalf("res=%v err=%v", res, res.Err)
 	}
 }
 
@@ -406,13 +386,10 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	defer remote.Close()
 
 	sc := testScene(t, 7)
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{remote}, WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	rej, err := crreject.New(crreject.DefaultConfig())

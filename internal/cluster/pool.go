@@ -329,9 +329,11 @@ func (p *Pool) Size() int {
 	return len(p.workers)
 }
 
-// Close shuts the pool down: runners exit after their in-flight tile, and
-// every job still queued fails its submission with a pool-closed error (so
-// no Submit caller blocks forever). Close is idempotent.
+// Close shuts the pool down: runners exit after their in-flight tile, a
+// Submit still enqueueing stops, and every job still queued fails its
+// submission with a pool-closed error, so every Submit delivers its
+// Result. Later Submits deliver the pool-closed error at once. Close is
+// idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -374,9 +376,10 @@ type submission struct {
 // Submit fragments the stack and enqueues its tiles onto the shared queue,
 // blocking for backpressure when the queue is full, and returns a channel
 // that delivers the baseline's Result exactly once. A failed run delivers
-// a Result whose Err is set (fragmentation error, joined permanent tile
-// failures, ctx cancellation, or pool closure). Many submissions may be in
-// flight at once; their tiles interleave over the same workers.
+// a Result whose Err is set (fragmentation error, a stack with no tiles,
+// joined permanent tile failures, ctx cancellation, or pool closure). Many
+// submissions may be in flight at once; their tiles interleave over the
+// same workers.
 func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 	sub := &submission{pool: p, out: make(chan *Result, 1)}
 	// Continue the caller's trace (the mission layer mints one per
@@ -399,6 +402,24 @@ func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 		sub.deliver(&Result{Err: err})
 		return sub.out
 	}
+
+	if len(tiles) == 0 {
+		sub.deliver(&Result{Err: fmt.Errorf("%w: a %dx%d stack of %d frames has no tiles",
+			dataset.ErrBadGeometry, s.Width(), s.Height(), s.Len())})
+		return sub.out
+	}
+	// Enqueue only while the pool is open, and count this Submit in p.wg
+	// so Close drains the queue after the last job lands on it: a job
+	// enqueued behind Close's drain would never be failed or run.
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		sub.deliver(&Result{Err: errPoolClosed})
+		return sub.out
+	}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	defer p.wg.Done()
 
 	sub.width, sub.height, sub.tiles = s.Width(), s.Height(), len(tiles)
 	sub.results = make(chan TileResult, len(tiles))

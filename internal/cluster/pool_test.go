@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,15 +64,11 @@ func (w *misfitWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 // crash, and never blitted into the served frame.
 func TestPoolRetriesMisfitResult(t *testing.T) {
 	sc := testScene(t, 44)
-	ref, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(8))
-	if err != nil {
-		t.Fatal(err)
+	ref := newPool(t, localWorkers(t, 1, nil), WithPoolTileSize(8))
+	want := <-ref.Submit(context.Background(), sc.Observed)
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
-	want, err := ref.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
 	for name, misfit := range map[string]func(*TileResult){
 		"nil image":    func(r *TileResult) { r.Image = nil },
 		"4x4 image":    func(r *TileResult) { r.Image = dataset.NewImage(4, 4) },
@@ -107,15 +104,11 @@ func TestPoolRetriesMisfitResult(t *testing.T) {
 func TestPoolQuarantinesAndReadmitsFailingWorker(t *testing.T) {
 	sc := testScene(t, 41)
 
-	ref, err := NewMaster(localWorkers(t, 3, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
+	ref := newPool(t, localWorkers(t, 3, nil), WithPoolTileSize(32))
+	want := <-ref.Submit(context.Background(), sc.Observed)
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
-	want, err := ref.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
 
 	reg := telemetry.NewRegistry()
 	pool, err := NewPool(WithPoolTileSize(32), WithPoolRetries(2),
@@ -293,6 +286,72 @@ func TestSubmitBackpressureBlocksWhenQueueFull(t *testing.T) {
 	}
 	if res.Image == nil || res.Image.Width != 64 {
 		t.Fatalf("backpressured run produced malformed output: %+v", res)
+	}
+}
+
+// awaitResult reads a submission's Result, failing the test when none
+// arrives within a few seconds.
+func awaitResult(t *testing.T, out <-chan *Result) *Result {
+	t.Helper()
+	select {
+	case res := <-out:
+		return res
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit never delivered its Result")
+		return nil
+	}
+}
+
+// TestPoolSubmitDeliversAfterClose is a regression test: a Submit after
+// Close, or racing it, could enqueue jobs behind Close's drain, where
+// nothing ran or failed them, so its Result never came. Every submission
+// now delivers, a late one with the pool-closed error.
+func TestPoolSubmitDeliversAfterClose(t *testing.T) {
+	sc := testScene(t, 46)
+	pool := newPool(t, localWorkers(t, 1, nil), WithPoolTileSize(32))
+	pool.Close()
+	for i := 0; i < 40; i++ {
+		res := awaitResult(t, pool.Submit(context.Background(), sc.Observed))
+		if !errors.Is(res.Err, errPoolClosed) {
+			t.Fatalf("submission %d after Close: err = %v, want the pool-closed error", i, res.Err)
+		}
+	}
+
+	// Submissions racing Close each deliver, whichever way the race went.
+	for round := 0; round < 10; round++ {
+		pool := newPool(t, localWorkers(t, 1, nil), WithPoolTileSize(32))
+		outs := make(chan (<-chan *Result), 4)
+		var wg sync.WaitGroup
+		for i := 0; i < cap(outs); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs <- pool.Submit(context.Background(), sc.Observed)
+			}()
+		}
+		pool.Close()
+		wg.Wait()
+		close(outs)
+		for out := range outs {
+			awaitResult(t, out)
+		}
+	}
+}
+
+// TestPoolSubmitEmptyStackDelivers is a regression test: a stack that
+// fragments into no tiles left its submission pending forever. It now
+// delivers a bad-geometry error.
+func TestPoolSubmitEmptyStackDelivers(t *testing.T) {
+	pool := newPool(t, localWorkers(t, 1, nil), WithPoolTileSize(32))
+	for name, s := range map[string]*dataset.Stack{
+		"no frames":   {},
+		"0x0 frames":  dataset.NewStack(4, 0, 0),
+		"0x32 frames": dataset.NewStack(4, 0, 32),
+	} {
+		res := awaitResult(t, pool.Submit(context.Background(), s))
+		if !errors.Is(res.Err, dataset.ErrBadGeometry) {
+			t.Errorf("%s: err = %v, want a bad-geometry error", name, res.Err)
+		}
 	}
 }
 

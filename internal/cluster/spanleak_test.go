@@ -36,11 +36,8 @@ func TestRunSpansEndOnFragmentError(t *testing.T) {
 	sc := testScene(t, 31)
 	reg := telemetry.NewRegistry()
 	// 64x64 does not divide by 5 tiles -> Fragment fails.
-	m, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(5), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); !errors.Is(err, dataset.ErrBadGeometry) {
+	pool := newPool(t, localWorkers(t, 1, nil), WithPoolTileSize(5), WithPoolTelemetry(reg))
+	if err := (<-pool.Submit(context.Background(), sc.Observed)).Err; !errors.Is(err, dataset.ErrBadGeometry) {
 		t.Fatalf("want ErrBadGeometry, got %v", err)
 	}
 
@@ -74,13 +71,10 @@ func TestRunSpansEndOnFragmentError(t *testing.T) {
 func TestRunSpansEndOnCancelledRun(t *testing.T) {
 	sc := testScene(t, 32)
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := newPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32), WithPoolTelemetry(reg))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: no tile is ever dispatched
-	if _, err := m.RunContext(ctx, sc.Observed); !errors.Is(err, context.Canceled) {
+	if err := (<-pool.Submit(ctx, sc.Observed)).Err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 

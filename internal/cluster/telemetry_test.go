@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"maps"
 	"net/http"
@@ -18,12 +19,9 @@ import (
 func TestMasterTelemetryCountsTiles(t *testing.T) {
 	sc := testScene(t, 21)
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32), WithPoolTelemetry(reg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	snap := reg.Snapshot()
@@ -69,13 +67,10 @@ func TestMasterTelemetryRetries(t *testing.T) {
 	}
 	flaky := &flakyWorker{inner: good, failures: 2}
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster([]Worker{flaky}, WithTileSize(32), WithRetries(3), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
-	if err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{flaky}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	snap := reg.Snapshot()
@@ -127,12 +122,9 @@ func TestTCPSpanCountsPerProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Close()
-	m, err := NewMaster([]Worker{rw}, WithTileSize(32), WithTelemetry(masterReg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{rw}, WithPoolTileSize(32), WithPoolTelemetry(masterReg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	const tiles = 4
@@ -170,11 +162,8 @@ func TestMasterTelemetryFailures(t *testing.T) {
 	sc := testScene(t, 23)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err == nil {
+	pool := newPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1), WithPoolTelemetry(reg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err == nil {
 		t.Fatal("run should fail when every tile exhausts its retries")
 	}
 	snap := reg.Snapshot()
@@ -188,11 +177,8 @@ func TestMasterTelemetryFailures(t *testing.T) {
 func TestRunReportsEveryFailure(t *testing.T) {
 	sc := testScene(t, 25)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run(sc.Observed)
+	pool := newPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1))
+	err := (<-pool.Submit(context.Background(), sc.Observed)).Err
 	if err == nil {
 		t.Fatal("run should fail")
 	}
@@ -232,12 +218,9 @@ func TestServerSidecarServesObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Close()
-	m, err := NewMaster([]Worker{rw}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{rw}, WithPoolTileSize(32))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	scAddr := sidecar.Addr()

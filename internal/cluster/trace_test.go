@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"spaceproc/internal/crreject"
@@ -61,12 +62,9 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithTelemetry(masterReg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(masterReg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	masterTrace := rootTraceID(t, masterReg)
@@ -136,12 +134,9 @@ func TestTraceRetryChildSpans(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithRetries(3), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	trace := rootTraceID(t, reg)
@@ -221,12 +216,9 @@ func TestTraceSharedRegistryDedup(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
-		t.Fatal(err)
+	pool := newPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(reg))
+	if res := <-pool.Submit(context.Background(), sc.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	serves := traceEvents(t, reg)["serve"]

@@ -16,7 +16,8 @@ import (
 	"spaceproc/internal/wire"
 )
 
-// Client defaults; override via Config or the corresponding Option.
+// Client defaults, as DefaultConfig sets them; override with
+// WithRetryPolicy.
 const (
 	// DefaultAttempts bounds tries per Process call (first try plus
 	// retries over sheds and transport faults).
@@ -78,13 +79,10 @@ type Client struct {
 	backoff time.Duration               // current retry delay: doubles per shed, resets on success
 }
 
-// DialClient connects to a single serve.Server or Router.
+// DialClient connects to a single serve.Server or Router, with opts
+// applied over DefaultConfig.
 func DialClient(addr string, opts ...Option) (*Client, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return DialWith(cfg, addr)
+	return dial([]string{addr}, opts)
 }
 
 // DialFleet connects a fleet-aware client: requests route to the member
@@ -92,23 +90,19 @@ func DialClient(addr string, opts ...Option) (*Client, error) {
 // WithRing to match the fleet's routers), failing over to ring
 // successors when a member is unreachable.
 func DialFleet(addrs []string, opts ...Option) (*Client, error) {
+	return dial(addrs, opts)
+}
+
+// dial connects using the client fields opts set over DefaultConfig
+// (invalid values are clamped, not errors — a half-configured client
+// still makes progress).
+func dial(addrs []string, opts []Option) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("serve: no server address")
+	}
 	cfg := DefaultConfig()
 	for _, o := range opts {
 		o(&cfg)
-	}
-	return DialWith(cfg, addrs...)
-}
-
-// DialWith connects using cfg's client fields (invalid values are
-// clamped, not errors — a half-configured client still makes progress).
-func DialWith(cfg Config, addrs ...string) (*Client, error) {
-	if len(addrs) == 0 {
-		for _, n := range cfg.Fleet {
-			addrs = append(addrs, n.Addr)
-		}
-	}
-	if len(addrs) == 0 {
-		return nil, errors.New("serve: no server address")
 	}
 	cfg.clampClient()
 	c := newClient(cfg, addrs)

@@ -159,7 +159,7 @@ func TestE2EShedAndRetryToSuccess(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pool, gw := gatedPool(t)
 	_, addr := startServer(t, pool,
-		WithTelemetry(reg), WithMaxInflight(1), WithRetryAfterHint(2*time.Millisecond))
+		WithTelemetry(reg), func(c *Config) { c.MaxInflight, c.RetryAfter = 1, 2*time.Millisecond })
 
 	stack := testStack(8, 32, 32)
 	occupier := dialClient(t, addr, WithClientID("occupier"))

@@ -74,10 +74,10 @@ type fleetNode struct {
 
 // Fleet is a consistent-hash routing backend over spaceprocd members: it
 // implements Backend, so a Server constructed over it IS the router —
-// admission, quotas, and drain come from the same Core as the daemon,
-// and only the Submit sink differs. Requests place onto the ring by
-// their Route key, fail over along the ring past ejected members, and
-// spill past members whose queue depth runs hot.
+// admission, quotas, and drain are the daemon's own, and only the Submit
+// sink differs. Requests place onto the ring by their Route key, fail
+// over along the ring past ejected members, and spill past members whose
+// queue depth runs hot.
 type Fleet struct {
 	cfg   Config
 	ring  *ring.Ring
@@ -94,7 +94,6 @@ type Fleet struct {
 // name at least one node. A positive ProbeInterval starts the background
 // membership prober (stopped by Close).
 func NewFleet(cfg Config) (*Fleet, error) {
-	cfg.withDefaults()
 	cfg.clampClient()
 	if len(cfg.Fleet) == 0 {
 		return nil, errors.New("serve: fleet needs at least one node")

@@ -78,7 +78,7 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("fleet without members should error")
 	}
 	cfg := DefaultConfig()
-	cfg.ProbeInterval = -1
+	cfg.ProbeInterval = 0
 	cfg.Fleet = []Node{{Addr: "a:1"}, {Addr: "a:1"}}
 	if _, err := NewFleet(cfg); err == nil {
 		t.Fatal("duplicate member should error")
@@ -87,7 +87,7 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet(cfg); err == nil {
 		t.Fatal("empty member address should error")
 	}
-	if _, err := NewRouter(); err == nil {
+	if _, err := NewRouterWith(DefaultRouterConfig()); err == nil {
 		t.Fatal("router without a fleet should error")
 	}
 }
@@ -100,7 +100,7 @@ func TestRouterDeterministicRouting(t *testing.T) {
 	_, addrs, stamps := startStampedFleet(t, 3)
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: addrs[0]}, {Addr: addrs[1]}, {Addr: addrs[2]}}
-	cfg.ProbeInterval = -1 // membership is static here; keep routing deterministic
+	cfg.ProbeInterval = 0 // membership is static here; keep routing deterministic
 	cfg.Telemetry = reg
 	_, raddr := startRouter(t, cfg)
 	c := dialClient(t, raddr, WithClientID("det"))
@@ -195,7 +195,7 @@ func TestRouterFailoverEjectReadmit(t *testing.T) {
 	}
 
 	// Restart the member on its old address; the half-open probe readmits.
-	srv2, err := NewServer(&stampBackend{id: stamps[owner]})
+	srv2, err := NewServerWith(&stampBackend{id: stamps[owner]}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +232,12 @@ func TestRouterFailoverEjectReadmit(t *testing.T) {
 func TestFleetShedFailsOverWithoutTripping(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	gb := &fakeBackend{gate: make(chan struct{}), started: make(chan struct{}, 4)}
-	_, addrA := startServer(t, gb, WithMaxInflight(1), WithRetryAfterHint(time.Millisecond))
+	_, addrA := startServer(t, gb, func(c *Config) { c.MaxInflight, c.RetryAfter = 1, time.Millisecond })
 	_, addrB := startServer(t, &stampBackend{id: 200})
 
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: addrA}, {Addr: addrB}}
-	cfg.ProbeInterval = -1
+	cfg.ProbeInterval = 0
 	cfg.Telemetry = reg
 	f, err := NewFleet(cfg)
 	if err != nil {
@@ -301,7 +301,7 @@ func TestFleetSpilloverOnDepth(t *testing.T) {
 
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: addrHot}, {Addr: addrCool}}
-	cfg.ProbeInterval = -1
+	cfg.ProbeInterval = 0
 	cfg.SpillDepth = 1
 	cfg.Telemetry = reg
 	f, err := NewFleet(cfg)
@@ -364,11 +364,11 @@ func TestFleetSpilloverOnDepth(t *testing.T) {
 func TestRouterPostAdmissionShedRetries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	gb := &fakeBackend{gate: make(chan struct{}), started: make(chan struct{}, 4)}
-	_, daddr := startServer(t, gb, WithMaxInflight(1), WithRetryAfterHint(time.Millisecond))
+	_, daddr := startServer(t, gb, func(c *Config) { c.MaxInflight, c.RetryAfter = 1, time.Millisecond })
 
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: daddr}}
-	cfg.ProbeInterval = -1
+	cfg.ProbeInterval = 0
 	cfg.RetryAfter = time.Millisecond
 	cfg.Telemetry = reg
 	_, raddr := startRouter(t, cfg)
@@ -572,7 +572,7 @@ func TestFleetRemoteErrorIsTerminal(t *testing.T) {
 
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: addrA}, {Addr: addrB}}
-	cfg.ProbeInterval = -1
+	cfg.ProbeInterval = 0
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -690,7 +690,7 @@ func TestRouterE2EBitIdenticalAcrossRebalance(t *testing.T) {
 	}
 
 	// Restart on the same address over the same pool; readmission follows.
-	srv2, err := NewServer(pools[victimIdx])
+	srv2, err := NewServerWith(pools[victimIdx], DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

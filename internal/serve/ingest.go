@@ -1,6 +1,6 @@
 package serve
 
-// Durable, replayable ingest for the admission core: an optional
+// Durable, replayable ingest for the daemon: an optional
 // write-ahead log (store.WAL) records every admitted baseline before it
 // is batched onto the backend, and an optional content-addressed dedupe
 // cache serves repeat uploads of an identical baseline without paying
@@ -44,7 +44,7 @@ type ingestMetrics struct {
 	dedupeEntries   *telemetry.Gauge
 }
 
-// ingest is the core's durability arm: WAL, dedupe cache, or both.
+// ingest is the daemon's durability arm: WAL, dedupe cache, or both.
 type ingest struct {
 	wal        *store.WAL   // nil: no write-ahead logging
 	dedupe     *dedupeCache // nil: no content-addressed dedupe
@@ -139,28 +139,15 @@ func (d *dedupeCache) put(dig store.Digest, res *cluster.Result) int {
 	return len(d.entries)
 }
 
-// IngestEnabled reports whether admitted baselines should be digested
-// for the WAL or the dedupe cache.
-func (c *Core) IngestEnabled() bool { return c.ing != nil }
-
-// WALPending reports how many logged entries await a commit (0 without a
-// WAL).
-func (c *Core) WALPending() int {
-	if c.ing == nil || c.ing.wal == nil {
-		return 0
-	}
-	return c.ing.wal.Pending()
-}
-
-// CachedResult answers a content-addressed dedupe lookup: a hit is a
+// cached answers a content-addressed dedupe lookup: a hit is a
 // previously served (or replayed) result for a bit-identical baseline,
 // and the caller skips the pipeline entirely.
-func (c *Core) CachedResult(dig store.Digest) (*cluster.Result, bool) {
-	if c.ing == nil || c.ing.dedupe == nil {
+func (ing *ingest) cached(dig store.Digest) (*cluster.Result, bool) {
+	if ing.dedupe == nil {
 		return nil, false
 	}
-	res, ok := c.ing.dedupe.get(dig)
-	if m := c.ing.met; m != nil {
+	res, ok := ing.dedupe.get(dig)
+	if m := ing.met; m != nil {
 		if ok {
 			m.dedupeHits.Inc()
 		} else {
@@ -170,27 +157,27 @@ func (c *Core) CachedResult(dig store.Digest) (*cluster.Result, bool) {
 	return res, ok
 }
 
-// LogAdmitted appends one admitted baseline to the WAL before it enters
+// logAdmitted appends one admitted baseline to the WAL before it enters
 // the batcher. A logging failure is not fatal to the request — the
 // daemon still serves it, it just isn't crash-durable — but it is
 // counted and logged. ok reports whether the entry was durably appended
 // (and so must be committed when the request retires).
-func (c *Core) LogAdmitted(client, key string, dig store.Digest, s *dataset.Stack) (seq uint64, ok bool) {
-	if c.ing == nil || c.ing.wal == nil {
+func (ing *ingest) logAdmitted(client, key string, dig store.Digest, s *dataset.Stack) (seq uint64, ok bool) {
+	if ing.wal == nil {
 		return 0, false
 	}
-	seq, err := c.ing.wal.Append(client, key, dig, s)
-	if m := c.ing.met; m != nil {
+	seq, err := ing.wal.Append(client, key, dig, s)
+	if m := ing.met; m != nil {
 		if err == nil {
 			m.walAppends.Inc()
-			m.walPending.Set(float64(c.ing.wal.Pending()))
+			m.walPending.Set(float64(ing.wal.Pending()))
 		} else {
 			m.walErrors.Inc()
 		}
 	}
 	if err != nil {
-		if c.ing.log != nil {
-			c.ing.log.LogAttrs(context.Background(), slog.LevelWarn, "wal append failed",
+		if ing.log != nil {
+			ing.log.LogAttrs(context.Background(), slog.LevelWarn, "wal append failed",
 				slog.String("client", client), slog.String("error", err.Error()))
 		}
 		return 0, false
@@ -198,43 +185,48 @@ func (c *Core) LogAdmitted(client, key string, dig store.Digest, s *dataset.Stac
 	return seq, true
 }
 
-// ResolveLogged marks a logged entry resolved — the request's exchange
+// resolveLogged marks a logged entry resolved — the request's exchange
 // completed (served, errored, or shed back to the client), so it must
 // not replay after a restart. Pass the result only on success so it also
 // seeds the dedupe cache; failures pass nil.
-func (c *Core) ResolveLogged(seq uint64, dig store.Digest, res *cluster.Result) {
-	if c.ing == nil {
-		return
-	}
+func (ing *ingest) resolveLogged(seq uint64, dig store.Digest, res *cluster.Result) {
 	if res != nil {
-		c.cacheResult(dig, res)
+		ing.cache(dig, res)
 	}
-	if c.ing.wal == nil {
+	if ing.wal == nil {
 		return
 	}
-	err := c.ing.wal.Commit(seq)
-	if m := c.ing.met; m != nil {
+	err := ing.wal.Commit(seq)
+	if m := ing.met; m != nil {
 		if err == nil {
 			m.walCommits.Inc()
-			m.walPending.Set(float64(c.ing.wal.Pending()))
+			m.walPending.Set(float64(ing.wal.Pending()))
 		} else {
 			m.walErrors.Inc()
 		}
 	}
-	if err != nil && c.ing.log != nil {
-		c.ing.log.LogAttrs(context.Background(), slog.LevelWarn, "wal commit failed",
+	if err != nil && ing.log != nil {
+		ing.log.LogAttrs(context.Background(), slog.LevelWarn, "wal commit failed",
 			slog.Uint64("seq", seq), slog.String("error", err.Error()))
 	}
 }
 
-// cacheResult stores a served result under its baseline's digest.
-func (c *Core) cacheResult(dig store.Digest, res *cluster.Result) {
-	if c.ing == nil || c.ing.dedupe == nil {
+// cache stores a served result under its baseline's digest.
+func (ing *ingest) cache(dig store.Digest, res *cluster.Result) {
+	if ing.dedupe == nil {
 		return
 	}
-	n := c.ing.dedupe.put(dig, res)
-	if m := c.ing.met; m != nil {
+	n := ing.dedupe.put(dig, res)
+	if m := ing.met; m != nil {
 		m.dedupeEntries.Set(float64(n))
+	}
+}
+
+// close releases the WAL file handle; idempotent, and a no-op on a nil
+// ingest.
+func (ing *ingest) close() {
+	if ing != nil && ing.wal != nil {
+		ing.wal.Close()
 	}
 }
 
@@ -252,70 +244,65 @@ var ErrReplayAborted = errors.New("serve: wal replay aborted")
 // recovery forever.
 //
 // Call it once, after construction and before (or concurrently with)
-// serving traffic; the daemon does this on boot. Returns the number of
-// entries successfully replayed.
-func (c *Core) ReplayWAL(ctx context.Context) (int, error) {
-	if c.ing == nil {
+// serving traffic; the daemon does this on boot, so clients retrying
+// requests the previous run lost hit the warmed cache. Returns the number
+// of entries successfully replayed.
+func (s *Server) ReplayWAL(ctx context.Context) (int, error) {
+	ing := s.ing
+	if ing == nil {
 		return 0, nil
 	}
-	entries := c.ing.replayable
-	c.ing.replayable = nil
+	entries := ing.replayable
+	ing.replayable = nil
 	replayed := 0
 	for _, e := range entries {
-		release, err := c.admitReplay(ctx, e.Client)
+		release, err := s.admitReplay(ctx, e.Client)
 		if err != nil {
 			return replayed, err
 		}
-		rctx := WithRoute(c.Context(), Route{Client: e.Client, Key: e.Key})
-		res := <-c.Submit(rctx, e.Stack)
+		rctx := WithRoute(s.forceCtx, Route{Client: e.Client, Key: e.Key})
+		res := <-s.bat.submit(rctx, e.Stack)
 		release()
 		if res.Err != nil {
-			if m := c.ing.met; m != nil {
+			if m := ing.met; m != nil {
 				m.walReplayErrors.Inc()
 			}
-			if c.ing.log != nil {
-				c.ing.log.LogAttrs(ctx, slog.LevelWarn, "wal replay failed",
+			if ing.log != nil {
+				ing.log.LogAttrs(ctx, slog.LevelWarn, "wal replay failed",
 					slog.Uint64("seq", e.Seq),
 					slog.String("client", e.Client),
 					slog.String("error", res.Err.Error()))
 			}
-			c.ResolveLogged(e.Seq, e.Digest, nil)
+			ing.resolveLogged(e.Seq, e.Digest, nil)
 			continue
 		}
-		c.ResolveLogged(e.Seq, e.Digest, res)
+		ing.resolveLogged(e.Seq, e.Digest, res)
 		replayed++
-		if m := c.ing.met; m != nil {
+		if m := ing.met; m != nil {
 			m.walReplayed.Inc()
 		}
 	}
 	return replayed, nil
 }
 
-// admitReplay runs one replayed entry through Admit, waiting out sheds
-// (replay is sequential, so a shed only means live traffic holds every
-// slot) and aborting on drain or context cancellation.
-func (c *Core) admitReplay(ctx context.Context, client string) (func(), error) {
+// admitReplay runs one replayed entry through admission, waiting out
+// sheds (replay is sequential, so a shed only means live traffic holds
+// every slot) and aborting on drain or context cancellation.
+func (s *Server) admitReplay(ctx context.Context, client string) (func(), error) {
 	for {
-		d, release := c.Admit(client)
-		switch d.Status {
+		verdict, release := s.admit(client)
+		switch verdict.Status {
 		case StatusAccepted:
 			return release, nil
 		case StatusDraining:
 			return nil, ErrReplayAborted
 		}
-		t := time.NewTimer(d.RetryAfter)
+		t := time.NewTimer(verdict.RetryAfter)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
 			return nil, ErrReplayAborted
 		}
-	}
-}
-
-// closeIngest releases the WAL file handle; idempotent.
-func (c *Core) closeIngest() {
-	if c.ing != nil && c.ing.wal != nil {
-		c.ing.wal.Close()
 	}
 }

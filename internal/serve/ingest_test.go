@@ -19,7 +19,7 @@ import (
 func TestDedupeServesCachedResult(t *testing.T) {
 	fb := &fakeBackend{}
 	reg := telemetry.NewRegistry()
-	_, addr := startServer(t, fb, WithDedupe(8), WithTelemetry(reg))
+	_, addr := startServer(t, fb, func(c *Config) { c.DedupeCap = 8 }, WithTelemetry(reg))
 	c := dialClient(t, addr)
 
 	s := testStack(3, 8, 8)
@@ -73,7 +73,7 @@ func TestWALLogsAndCommitsServedRequests(t *testing.T) {
 	dir := t.TempDir()
 	fb := &fakeBackend{}
 	reg := telemetry.NewRegistry()
-	srv, addr := startServer(t, fb, WithWAL(dir, false), WithTelemetry(reg))
+	srv, addr := startServer(t, fb, func(c *Config) { c.WALDir = dir }, WithTelemetry(reg))
 	c := dialClient(t, addr)
 
 	if _, err := c.Process(context.Background(), testStack(2, 8, 8)); err != nil {
@@ -86,7 +86,7 @@ func TestWALLogsAndCommitsServedRequests(t *testing.T) {
 	if got := snap.Counters["serve_wal_commits_total"]; got != 1 {
 		t.Fatalf("serve_wal_commits_total = %d, want 1", got)
 	}
-	if got := srv.Core().WALPending(); got != 0 {
+	if got := srv.ing.wal.Pending(); got != 0 {
 		t.Fatalf("served request left %d pending WAL entries", got)
 	}
 }
@@ -96,12 +96,12 @@ func TestWALCommitsFailedRequests(t *testing.T) {
 	// out, the client owns the retry — so it must not replay.
 	dir := t.TempDir()
 	fb := &fakeBackend{fail: context.DeadlineExceeded}
-	srv, addr := startServer(t, fb, WithWAL(dir, false))
+	srv, addr := startServer(t, fb, func(c *Config) { c.WALDir = dir })
 	c := dialClient(t, addr)
 	if _, err := c.Process(context.Background(), testStack(2, 8, 8)); err == nil {
 		t.Fatal("want pipeline error")
 	}
-	if got := srv.Core().WALPending(); got != 0 {
+	if got := srv.ing.wal.Pending(); got != 0 {
 		t.Fatalf("failed request left %d pending WAL entries", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 
 	fb := &fakeBackend{}
 	reg := telemetry.NewRegistry()
-	srv, addr := startServer(t, fb, WithWAL(dir, false), WithDedupe(8), WithTelemetry(reg))
+	srv, addr := startServer(t, fb, func(c *Config) { c.WALDir, c.DedupeCap = dir, 8 }, WithTelemetry(reg))
 	n, err := srv.ReplayWAL(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	if got := fb.submits.Load(); got != 2 {
 		t.Fatalf("replay must run the pipeline, submits = %d", got)
 	}
-	if got := srv.Core().WALPending(); got != 0 {
+	if got := srv.ing.wal.Pending(); got != 0 {
 		t.Fatalf("replay left %d pending entries", got)
 	}
 	snap := reg.Snapshot()
@@ -161,7 +161,9 @@ func TestWALReplayAfterCrash(t *testing.T) {
 
 	// A second boot replays nothing: everything was committed.
 	srv.Close()
-	srv2, err := NewServer(&fakeBackend{}, WithWAL(dir, false))
+	cfg := DefaultConfig()
+	cfg.WALDir = dir
+	srv2, err := NewServerWith(&fakeBackend{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestWALReplayCommitsPoisonedEntries(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	srv, _ := startServer(t, &fakeBackend{fail: context.DeadlineExceeded},
-		WithWAL(dir, false), WithTelemetry(reg))
+		func(c *Config) { c.WALDir = dir }, WithTelemetry(reg))
 	n, err := srv.ReplayWAL(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +200,7 @@ func TestWALReplayCommitsPoisonedEntries(t *testing.T) {
 	if got := reg.Snapshot().Counters["serve_wal_replay_errors_total"]; got != 1 {
 		t.Fatalf("serve_wal_replay_errors_total = %d, want 1", got)
 	}
-	if got := srv.Core().WALPending(); got != 0 {
+	if got := srv.ing.wal.Pending(); got != 0 {
 		t.Fatalf("poisoned entry left pending (%d), would wedge every boot", got)
 	}
 }
@@ -221,7 +223,7 @@ func TestClientCanceledCounter(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 4)
 	fb := &fakeBackend{gate: gate, started: started}
-	_, addr := startServer(t, fb, WithMaxInflight(1))
+	_, addr := startServer(t, fb, func(c *Config) { c.MaxInflight = 1 })
 
 	occ := dialClient(t, addr, WithClientID("occ"))
 	occDone := make(chan error, 1)

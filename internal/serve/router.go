@@ -2,13 +2,13 @@ package serve
 
 import "context"
 
-// Router is the fleet front: the exact TCP transport and admission Core
-// a daemon runs, constructed over a Fleet backend instead of a worker
-// pool. Because the Fleet satisfies Backend, the router reuses every
-// serving semantic — header-first admission, per-client quotas, byte
-// budgets, graceful drain — from the one shared implementation; the only
-// router-specific behavior is where admitted requests go: onto the
-// consistent-hash ring, through the membership breaker, out to a daemon.
+// Router is the fleet front: the exact Server a daemon runs, constructed
+// over a Fleet backend instead of a worker pool. Because the Fleet
+// satisfies Backend, the router reuses every serving semantic —
+// header-first admission, per-client quotas, byte budgets, graceful
+// drain — from the one shared implementation; the only router-specific
+// behavior is where admitted requests go: onto the consistent-hash ring,
+// through the membership breaker, out to a daemon.
 //
 // Speak to it with the ordinary Client; responses are bit-identical to
 // dialing the owning daemon directly.
@@ -17,29 +17,10 @@ type Router struct {
 	fleet *Fleet
 }
 
-// NewRouter builds a router from options over DefaultRouterConfig
-// (router_* metrics, no local batching). The fleet membership
-// (WithFleet / WithFleetAddrs) is required.
-func NewRouter(opts ...Option) (*Router, error) {
-	cfg := DefaultRouterConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return NewRouterWith(cfg)
-}
-
-// NewRouterWith builds a router from cfg; zero fields take router
-// defaults.
+// NewRouterWith builds a router from cfg, used as given: start from
+// DefaultRouterConfig (router_* metrics, no local batching) and name the
+// fleet membership in cfg.Fleet.
 func NewRouterWith(cfg Config) (*Router, error) {
-	if cfg.MetricPrefix == "" {
-		cfg.MetricPrefix = "router"
-	}
-	if cfg.BatchMax == 0 {
-		cfg.BatchMax = 1
-	}
 	fleet, err := NewFleet(cfg)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@
 // them through a shared cluster.Pool, and streams back the repaired image,
 // its Rice-compressed downlink payload, and the fault-forensics report.
 //
-// The serving semantics live in Core, transport-independent:
+// Server is the daemon, and it holds every serving semantic:
 //
 //   - Admission control: a bounded global inflight limit plus per-client
 //     concurrency quotas, decided on the request header before the
@@ -21,11 +21,12 @@
 //   - Graceful drain: Shutdown stops accepting, sheds new requests with
 //     StatusDraining, finishes every admitted request, then closes.
 //
-// Server is the TCP transport over a Core; Router is the same transport
-// over a Fleet backend, turning the identical admission pipeline into a
-// consistent-hash front for many daemons. Client is the matching Go
-// client with bounded exponential-backoff retries over sheds and
-// transport faults, optionally fleet-aware (DialFleet).
+// Router is a Server over a Fleet backend, turning the identical
+// admission pipeline into a consistent-hash front for many daemons. Both
+// are built only from a Config (NewServerWith, NewRouterWith). Client is
+// the matching Go client with bounded exponential-backoff retries over
+// sheds and transport faults, optionally fleet-aware (DialFleet); Options
+// set its fields.
 package serve
 
 import (
@@ -45,7 +46,7 @@ import (
 	"spaceproc/internal/wire"
 )
 
-// Server defaults; override via Config or the corresponding Option.
+// Server defaults, as DefaultConfig sets them.
 const (
 	// DefaultMaxInflight bounds admitted requests across all clients.
 	DefaultMaxInflight = 64
@@ -80,15 +81,36 @@ type Backend interface {
 	Submit(ctx context.Context, s *dataset.Stack) <-chan *cluster.Result
 }
 
+// Route names the origin of one request as it flows through the batcher
+// into a Backend: the sanitized client ID, and the routing key a fleet
+// backend hashes onto its ring (falling back to the client ID when the
+// request did not pin a key).
+type Route struct {
+	Client string
+	Key    string
+}
+
+type routeCtxKey struct{}
+
+// WithRoute attaches the request's route to ctx for the backend.
+func WithRoute(ctx context.Context, rt Route) context.Context {
+	return context.WithValue(ctx, routeCtxKey{}, rt)
+}
+
+// RouteFrom recovers the route attached by WithRoute.
+func RouteFrom(ctx context.Context) (Route, bool) {
+	rt, ok := ctx.Value(routeCtxKey{}).(Route)
+	return rt, ok
+}
+
 // clientQuota tracks one client's admitted requests.
 type clientQuota struct {
 	inflight int
 	gauge    *telemetry.Gauge // nil without telemetry or past the gauge cap
 }
 
-// serveMetrics holds the tier's registry handles, resolved once with the
-// configured prefix and shared between a Core (admission counts) and its
-// transport (wire counts and latencies).
+// serveMetrics holds the server's registry handles, resolved once with
+// the configured prefix.
 type serveMetrics struct {
 	requests  *telemetry.Counter
 	accepted  *telemetry.Counter
@@ -100,64 +122,154 @@ type serveMetrics struct {
 	recvLat   *telemetry.Histogram
 }
 
-// Server is the daemon: the TCP transport over a Core. Construct with
-// NewServer (options) or NewServerWith (a Config), start with Listen,
-// stop with Shutdown (graceful) or Close (immediate).
+// Server is the daemon: admission, batching onto a Backend, durable
+// ingest and drain behind one TCP transport. Construct with
+// NewServerWith, start with Listen, stop with Shutdown (graceful) or
+// Close (immediate).
 type Server struct {
-	core   *Core
-	cfg    Config // the core's defaulted copy
-	met    *serveMetrics
+	cfg    Config
+	met    *serveMetrics // nil without telemetry
+	bat    *batcher
+	ing    *ingest           // nil unless a WAL or dedupe cache is configured
 	tracer *telemetry.Tracer // nil without telemetry
 	log    *slog.Logger
 	slow   slowRing
 
+	// forceCtx is the root of every request's pipeline context. A forced
+	// close cancels it so pool work is abandoned; a graceful drain leaves
+	// it alone until the drain completes.
+	forceCtx    context.Context
+	forceCancel context.CancelFunc
+	reqWG       sync.WaitGroup // admitted requests
+
 	mu       sync.Mutex
 	ln       *wire.Listener
+	clients  map[string]*clientQuota // entries pruned when a client's inflight hits zero
+	minted   map[string]*telemetry.Gauge
+	inflight int
 	draining bool
 	closed   bool
 }
 
-// NewServer builds a daemon over the backend (normally a *cluster.Pool
-// shared with the rest of the process). Options apply over
-// DefaultConfig and are validated strictly: an explicit zero is an
-// error, not silently patched. Start it with Listen.
-func NewServer(backend Backend, opts ...Option) (*Server, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+// NewServerWith builds a daemon over the backend (normally a *cluster.Pool
+// shared with the rest of the process) from cfg, used as given: a zero
+// field means what its comment says, so start from DefaultConfig. Start
+// it with Listen.
+func NewServerWith(backend Backend, cfg Config) (*Server, error) {
+	if backend == nil {
+		return nil, errors.New("serve: nil backend")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return NewServerWith(backend, cfg)
-}
-
-// NewServerWith builds a daemon from cfg; zero fields take defaults.
-func NewServerWith(backend Backend, cfg Config) (*Server, error) {
-	core, err := NewCore(backend, cfg)
+	if cfg.PerClientQuota == 0 || cfg.PerClientQuota > cfg.MaxInflight {
+		cfg.PerClientQuota = cfg.MaxInflight
+	}
+	ing, err := newIngest(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{
-		core:   core,
-		cfg:    core.Config(),
-		met:    core.metrics(),
-		tracer: core.Config().Telemetry.Tracer(),
-		log:    core.Config().Logger,
-	}, nil
+	s := &Server{
+		cfg:     cfg,
+		bat:     newBatcher(backend, cfg.BatchMax, cfg.BatchWindow, cfg.Telemetry, cfg.MetricPrefix),
+		ing:     ing,
+		tracer:  cfg.Telemetry.Tracer(),
+		log:     cfg.Logger,
+		clients: make(map[string]*clientQuota),
+		minted:  make(map[string]*telemetry.Gauge),
+	}
+	if reg := cfg.Telemetry; reg != nil {
+		p := cfg.MetricPrefix
+		s.met = &serveMetrics{
+			requests:  reg.Counter(p + "_requests_total"),
+			accepted:  reg.Counter(p + "_requests_accepted_total"),
+			shed:      reg.Counter(p + "_shed_total"),
+			drainShed: reg.Counter(p + "_drain_shed_total"),
+			errored:   reg.Counter(p + "_errors_total"),
+			inflight:  reg.Gauge(p + "_requests_inflight"),
+			reqLat:    reg.Histogram(p + "_request"),
+			recvLat:   reg.Histogram(p + "_receive"),
+		}
+	}
+	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
+	return s, nil
 }
 
-// Core exposes the server's admission core (shared metrics handles,
-// inflight accounting) for tests and embedding transports.
-func (s *Server) Core() *Core { return s.core }
-
-// ReplayWAL pushes every admitted-but-unserved request recovered from
-// the configured WAL back through the admission path, committing and
-// dedupe-caching each result; see Core.ReplayWAL. The daemon calls this
-// once on boot, before accepting traffic, so clients retrying requests
-// the previous run lost hit the warmed cache.
-func (s *Server) ReplayWAL(ctx context.Context) (int, error) {
-	return s.core.ReplayWAL(ctx)
+// admit decides one request under the inflight limit and the client's
+// quota, answering with the verdict to send. On acceptance the returned
+// release must be called exactly once when the request retires; a shed
+// verdict carries the retry-after hint and a nil release.
+func (s *Server) admit(client string) (verdict response, release func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	shed := response{Status: StatusShed, RetryAfter: s.cfg.RetryAfter}
+	if s.draining {
+		if s.met != nil {
+			s.met.shed.Inc()
+			s.met.drainShed.Inc()
+		}
+		shed.Status = StatusDraining
+		return shed, nil
+	}
+	if s.inflight >= s.cfg.MaxInflight {
+		if s.met != nil {
+			s.met.shed.Inc()
+		}
+		return shed, nil
+	}
+	cq := s.clients[client]
+	if cq == nil {
+		cq = &clientQuota{}
+		if s.cfg.Telemetry != nil {
+			// minted is the durable record of per-client gauges (capped,
+			// so an ID sweep cannot grow the registry); clients entries
+			// come and go with inflight work, and a returning client must
+			// not burn a second cap slot.
+			if g, ok := s.minted[client]; ok {
+				cq.gauge = g
+			} else if len(s.minted) < maxClientGauges {
+				g = s.cfg.Telemetry.Gauge(s.cfg.MetricPrefix + "_client_" + client + "_inflight")
+				s.minted[client] = g
+				cq.gauge = g
+			}
+		}
+		s.clients[client] = cq
+	}
+	if cq.inflight >= s.cfg.PerClientQuota {
+		if s.met != nil {
+			s.met.shed.Inc()
+		}
+		return shed, nil
+	}
+	s.inflight++
+	cq.inflight++
+	s.reqWG.Add(1)
+	if s.met != nil {
+		s.met.accepted.Inc()
+		s.met.inflight.Set(float64(s.inflight))
+	}
+	if cq.gauge != nil {
+		cq.gauge.Set(float64(cq.inflight))
+	}
+	release = func() {
+		s.mu.Lock()
+		s.inflight--
+		cq.inflight--
+		if s.met != nil {
+			s.met.inflight.Set(float64(s.inflight))
+		}
+		if cq.gauge != nil {
+			cq.gauge.Set(float64(cq.inflight))
+		}
+		if cq.inflight == 0 {
+			// Prune the quota entry so a client sweeping IDs cannot grow
+			// this map without bound; its gauge handle survives in minted.
+			delete(s.clients, client)
+		}
+		s.mu.Unlock()
+		s.reqWG.Done()
+	}
+	return response{Status: StatusAccepted}, release
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and serves connections on
@@ -196,7 +308,11 @@ func (s *Server) Addr() string {
 
 // Inflight reports the number of admitted requests currently in the
 // pipeline.
-func (s *Server) Inflight() int { return s.core.Inflight() }
+func (s *Server) Inflight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight
+}
 
 // serveConn answers requests on one connection until it drops or the
 // server closes. The wait for a header is unbounded; once one starts
@@ -260,20 +376,19 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 	}
 
 	adm := child(StageAdmission, client)
-	dcsn, release := s.core.Admit(client)
-	adm.Annotate("status", dcsn.Status.String())
+	verdict, release := s.admit(client)
+	adm.Annotate("status", verdict.Status.String())
 	adm.End()
-	verdict := response{Status: dcsn.Status, RetryAfter: dcsn.RetryAfter}
-	if dcsn.Status != StatusAccepted {
+	if verdict.Status != StatusAccepted {
 		if s.log != nil {
 			s.log.LogAttrs(context.Background(), slog.LevelWarn, "request shed",
 				slog.String("client", client),
-				slog.String("status", dcsn.Status.String()),
+				slog.String("status", verdict.Status.String()),
 				slog.String("trace_id", traceIDString(tc)),
-				slog.Duration("retry_after", dcsn.RetryAfter))
+				slog.Duration("retry_after", verdict.RetryAfter))
 		}
 		if reqSpan != nil {
-			reqSpan.Annotate("outcome", dcsn.Status.String())
+			reqSpan.Annotate("outcome", verdict.Status.String())
 			reqSpan.End()
 		}
 		return c.Send(&verdict) == nil
@@ -376,9 +491,9 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 		walSeq uint64
 		logged bool
 	)
-	if s.core.IngestEnabled() {
+	if s.ing != nil {
 		dig = store.StackDigest(stack)
-		if cached, ok := s.core.CachedResult(dig); ok {
+		if cached, ok := s.ing.cached(dig); ok {
 			resp := child(StageRespond, client)
 			sent := c.Send(&response{Status: StatusOK, Result: cached}) == nil
 			resp.End()
@@ -387,7 +502,7 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 			}
 			return sent
 		}
-		walSeq, logged = s.core.LogAdmitted(client, key, dig, stack)
+		walSeq, logged = s.ing.logAdmitted(client, key, dig, stack)
 	}
 
 	// Run the baseline through the backend, honoring the client's
@@ -395,7 +510,7 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 	// rides the context so a fleet backend can place the request on its
 	// ring by the client's key; the trace position rides it too, so the
 	// batcher's and backend's spans continue this request's trace.
-	ctx := s.core.Context()
+	ctx := s.forceCtx
 	if !hdr.Deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, hdr.Deadline)
@@ -406,7 +521,7 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 	if reqSpan != nil {
 		ctx = telemetry.ContextWithTrace(ctx, s.tracer, reqSpan.Context())
 	}
-	res := <-s.core.Submit(ctx, stack)
+	res := <-s.bat.submit(ctx, stack)
 	// Whatever the pipeline answered, the exchange is resolved: the WAL
 	// entry must not replay after a restart (a crash before this point is
 	// exactly what replay is for), and a served result seeds the dedupe
@@ -417,9 +532,9 @@ func (s *Server) handle(c *wire.Conn, hdr header) bool {
 		if res.Err == nil {
 			cacheRes = res
 		}
-		s.core.ResolveLogged(walSeq, dig, cacheRes)
-	} else if res.Err == nil {
-		s.core.cacheResult(dig, res)
+		s.ing.resolveLogged(walSeq, dig, cacheRes)
+	} else if s.ing != nil && res.Err == nil {
+		s.ing.cache(dig, res)
 	}
 	if res.Err != nil {
 		// A backend shed (the fleet found every candidate saturated) is
@@ -468,41 +583,36 @@ func traceIDString(tc telemetry.TraceContext) string {
 // new requests with StatusDraining, wait for every admitted request to
 // finish (bounded by ctx), then close the remaining connections. It
 // returns nil on a clean drain and ctx.Err() when the deadline forced the
-// close.
+// close. A concurrent Shutdown waits out the drain the first one owns,
+// still honoring its own deadline with a forced close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
+	owner := !s.draining
 	s.draining = true
 	ln := s.ln
 	s.mu.Unlock()
-	if !s.core.BeginDrain() {
-		// A concurrent Shutdown owns the drain; wait it out, but still
-		// honor this caller's deadline with a forced close.
-		done := s.core.Idle()
-		select {
-		case <-done:
-			return nil
-		case <-ctx.Done():
-			s.core.ForceCancel()
-			if ln != nil {
-				ln.CloseConns()
-			}
-			<-done
-			return ctx.Err()
+	if owner {
+		// Flush the batcher so no admitted request waits on a batch
+		// window the shutdown is racing.
+		s.bat.drain()
+		if ln != nil {
+			ln.Stop()
+		}
+		if s.log != nil {
+			s.log.LogAttrs(ctx, slog.LevelInfo, "draining",
+				slog.Int("inflight", s.Inflight()))
 		}
 	}
-	if ln != nil {
-		ln.Stop()
-	}
-	if s.log != nil {
-		s.log.LogAttrs(ctx, slog.LevelInfo, "draining",
-			slog.Int("inflight", s.core.Inflight()))
-	}
 
-	done := s.core.Idle()
+	done := make(chan struct{})
+	go func() {
+		s.reqWG.Wait()
+		close(done)
+	}()
 	var err error
 	select {
 	case <-done:
@@ -513,11 +623,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// close the connections — cancellation alone cannot unblock a
 		// handler parked in a network read or write, and the drain must
 		// not wait on one.
-		s.core.ForceCancel()
+		s.forceCancel()
 		if ln != nil {
 			ln.CloseConns()
 		}
 		<-done
+	}
+	if !owner {
+		return err
 	}
 
 	s.mu.Lock()
@@ -526,8 +639,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
-	s.core.ForceCancel()
-	s.core.closeIngest()
+	s.forceCancel()
+	s.ing.close()
 	if s.log != nil {
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "drained")
 	}

@@ -68,10 +68,15 @@ func testStack(frames, w, h int) *dataset.Stack {
 	return s
 }
 
-// startServer boots a server over the backend and registers cleanup.
-func startServer(t *testing.T, backend Backend, opts ...Option) (*Server, string) {
+// startServer boots a server over the backend from DefaultConfig, as
+// edits change it, and registers cleanup.
+func startServer(t *testing.T, backend Backend, edits ...func(*Config)) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(backend, opts...)
+	cfg := DefaultConfig()
+	for _, edit := range edits {
+		edit(&cfg)
+	}
+	srv, err := NewServerWith(backend, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,24 +99,102 @@ func dialClient(t *testing.T, addr string, opts ...Option) *Client {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil); err == nil {
+	if _, err := NewServerWith(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil backend should error")
 	}
-	fb := &fakeBackend{}
-	if _, err := NewServer(fb, WithMaxInflight(0)); err == nil {
-		t.Fatal("zero inflight limit should error")
-	}
-	if _, err := NewServer(fb, WithPerClientQuota(-1)); err == nil {
+	cfg := DefaultConfig()
+	cfg.PerClientQuota = -1
+	if _, err := NewServerWith(&fakeBackend{}, cfg); err == nil {
 		t.Fatal("negative quota should error")
 	}
-	if _, err := NewServer(fb, WithRetryAfterHint(0)); err == nil {
-		t.Fatal("zero retry-after should error")
+}
+
+// TestZeroConfigFieldMeansItsComment builds daemons and routers from a
+// Config with one field zeroed and checks that the zero does what the
+// field's comment says rather than taking a default: BatchMax or
+// BatchWindow 0 serves unbatched, ProbeInterval 0 starts no prober, and a
+// zero admission bound or metric prefix is rejected.
+func TestZeroConfigFieldMeansItsComment(t *testing.T) {
+	// dead is an address nothing listens on: a fleet member a prober
+	// would eject at its first probe.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewServer(fb, WithMaxRequestBytes(0)); err == nil {
-		t.Fatal("zero request byte budget should error")
+	dead := ln.Addr().String()
+	ln.Close()
+
+	// unbatched submits one baseline straight to the batcher and checks
+	// it flushed alone, without waiting on a batch window.
+	unbatched := func(t *testing.T, srv *Server) {
+		ctx, bs := withBatchStats(context.Background())
+		select {
+		case <-srv.bat.submit(ctx, testStack(1, 4, 4)):
+		case <-time.After(5 * time.Second):
+			t.Fatal("a lone request waited on a batch window")
+		}
+		if bs.BatchSize != 1 || bs.QueueWait >= DefaultBatchWindow {
+			t.Fatalf("batch of %d after %v, want a batch of 1 with no window wait", bs.BatchSize, bs.QueueWait)
+		}
 	}
-	if _, err := NewServer(fb, WithReceiveTimeout(0)); err == nil {
-		t.Fatal("zero receive timeout should error")
+	// noProber waits out several default probe periods and checks the
+	// dead member was never probed out of the ring.
+	noProber := func(t *testing.T, srv *Server) {
+		time.Sleep(3 * DefaultProbeInterval)
+		if st := srv.bat.backend.(*Fleet).Status()[dead].State; st != NodeHealthy {
+			t.Fatalf("dead member is %v: a prober ran", st)
+		}
+	}
+	rows := []struct {
+		field  string
+		zero   func(*Config)
+		check  func(*testing.T, *Server) // nil: construction must fail
+		router bool                      // router only; a daemon has no fleet
+	}{
+		{"BatchMax", func(c *Config) { c.BatchMax, c.BatchWindow = 0, time.Hour }, unbatched, false},
+		{"BatchWindow", func(c *Config) { c.BatchMax, c.BatchWindow = 2, 0 }, unbatched, false},
+		{"ProbeInterval", func(c *Config) { c.ProbeInterval, c.ProbeFailures = 0, 1 }, noProber, true},
+		{"MaxInflight", func(c *Config) { c.MaxInflight = 0 }, nil, false},
+		{"RetryAfter", func(c *Config) { c.RetryAfter = 0 }, nil, false},
+		{"MaxRequestBytes", func(c *Config) { c.MaxRequestBytes = 0 }, nil, false},
+		{"ReceiveTimeout", func(c *Config) { c.ReceiveTimeout = 0 }, nil, false},
+		{"MetricPrefix", func(c *Config) { c.MetricPrefix = "" }, nil, false},
+	}
+	for _, row := range rows {
+		for _, kind := range []string{"daemon", "router"} {
+			if row.router && kind == "daemon" {
+				continue
+			}
+			t.Run(row.field+"/"+kind, func(t *testing.T) {
+				var srv *Server
+				var err error
+				if kind == "daemon" {
+					cfg := DefaultConfig()
+					row.zero(&cfg)
+					srv, err = NewServerWith(&fakeBackend{}, cfg)
+				} else {
+					cfg := DefaultRouterConfig()
+					cfg.Fleet = []Node{{Addr: dead}}
+					row.zero(&cfg)
+					var r *Router
+					if r, err = NewRouterWith(cfg); err == nil {
+						t.Cleanup(r.Close)
+						srv = r.Server
+					}
+				}
+				if row.check == nil {
+					if err == nil {
+						t.Fatalf("zero %s was accepted", row.field)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(srv.Close)
+				row.check(t, srv)
+			})
+		}
 	}
 }
 
@@ -132,7 +215,7 @@ func rawConn(t *testing.T, addr string) (net.Conn, *gob.Encoder, *gob.Decoder) {
 // connection stays usable for an in-budget request.
 func TestRequestOverByteBudgetRejected(t *testing.T) {
 	fb := &fakeBackend{}
-	_, addr := startServer(t, fb, WithMaxRequestBytes(64)) // 32 pixels
+	_, addr := startServer(t, fb, func(c *Config) { c.MaxRequestBytes = 64 }) // 32 pixels
 	_, enc, dec := rawConn(t, addr)
 
 	if err := enc.Encode(&header{Frames: 1, Width: 8, Height: 8}); err != nil {
@@ -207,7 +290,7 @@ func TestPayloadWireBudgetEnforced(t *testing.T) {
 // admission slot freed.
 func TestStalledClientReleasesSlot(t *testing.T) {
 	fb := &fakeBackend{}
-	srv, addr := startServer(t, fb, WithReceiveTimeout(30*time.Millisecond))
+	srv, addr := startServer(t, fb, func(c *Config) { c.ReceiveTimeout = 30 * time.Millisecond })
 	_, enc, dec := rawConn(t, addr)
 
 	if err := enc.Encode(&header{Frames: 2, Width: 8, Height: 8}); err != nil {
@@ -288,13 +371,13 @@ func TestClientEntriesPruned(t *testing.T) {
 		// after the response bytes are written, so the client can return
 		// first.
 		waitFor(func() bool {
-			srv.core.mu.Lock()
-			defer srv.core.mu.Unlock()
-			return len(srv.core.clients) == 0
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return len(srv.clients) == 0
 		})
-		srv.core.mu.Lock()
-		entries, minted := len(srv.core.clients), len(srv.core.minted)
-		srv.core.mu.Unlock()
+		srv.mu.Lock()
+		entries, minted := len(srv.clients), len(srv.minted)
+		srv.mu.Unlock()
 		if entries != 0 {
 			t.Fatalf("after request %d: %d quota entries linger", i, entries)
 		}
@@ -383,7 +466,7 @@ func TestShedOverInflightLimit(t *testing.T) {
 	gate := make(chan struct{})
 	fb := &fakeBackend{gate: gate, started: make(chan struct{}, 8)}
 	_, addr := startServer(t, fb,
-		WithTelemetry(reg), WithMaxInflight(1), WithRetryAfterHint(5*time.Millisecond))
+		WithTelemetry(reg), func(c *Config) { c.MaxInflight, c.RetryAfter = 1, 5*time.Millisecond })
 
 	occupier := dialClient(t, addr)
 	done := make(chan error, 1)
@@ -414,7 +497,7 @@ func TestPerClientQuota(t *testing.T) {
 	gate := make(chan struct{})
 	fb := &fakeBackend{gate: gate, started: make(chan struct{}, 8)}
 	_, addr := startServer(t, fb,
-		WithTelemetry(reg), WithMaxInflight(4), WithPerClientQuota(1))
+		WithTelemetry(reg), func(c *Config) { c.MaxInflight, c.PerClientQuota = 4, 1 })
 
 	greedy1 := dialClient(t, addr, WithClientID("greedy"))
 	done := make(chan error, 1)
@@ -460,7 +543,7 @@ func TestShedRetrySucceeds(t *testing.T) {
 	gate := make(chan struct{})
 	fb := &fakeBackend{gate: gate, started: make(chan struct{}, 8)}
 	_, addr := startServer(t, fb,
-		WithTelemetry(reg), WithMaxInflight(1), WithRetryAfterHint(time.Millisecond))
+		WithTelemetry(reg), func(c *Config) { c.MaxInflight, c.RetryAfter = 1, time.Millisecond })
 
 	occupier := dialClient(t, addr)
 	done := make(chan error, 1)

@@ -16,14 +16,10 @@ type (
 	Worker = cluster.Worker
 	// LocalWorker runs preprocessing + CR rejection in process.
 	LocalWorker = cluster.LocalWorker
-	// Master fragments baselines, dispatches tiles, reassembles and
-	// compresses.
-	Master = cluster.Master
-	// MasterOption configures a Master.
-	MasterOption = cluster.MasterOption
 	// LocalWorkerOption configures a LocalWorker (see WithShards).
 	LocalWorkerOption = cluster.LocalWorkerOption
-	// PipelineResult is the master's output for one baseline.
+	// PipelineResult is a WorkerPool's output for one baseline, delivered
+	// by Submit; Err is set when the run failed.
 	PipelineResult = cluster.Result
 	// TileResult is a worker's output for one tile.
 	TileResult = cluster.TileResult
@@ -36,8 +32,9 @@ type (
 	// AdaptiveWorker preprocesses each tile at the highest sensitivity
 	// its compute budget allows (the Section 2.1 slack-CPU idea).
 	AdaptiveWorker = cluster.AdaptiveWorker
-	// WorkerPool owns worker membership, health gating, and the shared
-	// job queue; Masters are thin per-baseline clients of it.
+	// WorkerPool is the Figure 1 master: it fragments each submitted
+	// baseline, schedules the tiles over its workers (membership, health
+	// gating, one shared job queue), then reassembles and compresses.
 	WorkerPool = cluster.Pool
 	// WorkerPoolOption configures a WorkerPool.
 	WorkerPoolOption = cluster.PoolOption
@@ -70,19 +67,9 @@ func NewLocalWorker(pre SeriesPreprocessor, rejCfg CRConfig, opts ...LocalWorker
 // GOMAXPROCS; 0 selects GOMAXPROCS).
 func WithShards(n int) LocalWorkerOption { return cluster.WithShards(n) }
 
-// NewMaster builds a pipeline master over the workers.
-func NewMaster(workers []Worker, opts ...MasterOption) (*Master, error) {
-	return cluster.NewMaster(workers, opts...)
-}
-
-// WithTileSize overrides the 128x128 fragment size.
-func WithTileSize(n int) MasterOption { return cluster.WithTileSize(n) }
-
-// WithRetries bounds tile reassignment after worker failures.
-func WithRetries(n int) MasterOption { return cluster.WithRetries(n) }
-
 // NewWorkerPool builds a long-lived scheduling pool. Add workers with
-// AddWorker, pipeline baselines with Submit, and Close when done.
+// AddWorker, pipeline baselines with Submit (res := <-pool.Submit(ctx, s),
+// then check res.Err), and Close when done.
 func NewWorkerPool(opts ...WorkerPoolOption) (*WorkerPool, error) { return cluster.NewPool(opts...) }
 
 // WithPoolTileSize overrides the pool's 128x128 fragment size.

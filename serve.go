@@ -10,31 +10,31 @@ import (
 // Preprocessing as a service (internal/serve): a daemon that runs client
 // baselines through a shared WorkerPool, with admission control, dynamic
 // batching, and graceful drain; a consistent-hash router that fronts a
-// fleet of those daemons with the identical admission core; and the
+// fleet of those daemons with the identical admission path; and the
 // retrying Go client, optionally fleet-aware.
 //
-// Everything constructs from one surface: a ServeConfig (NewDaemonWith,
-// NewRouterWith) or the shared ServeOption set (NewDaemon, NewRouter,
-// Dial, DialFleet) — the same option works on whichever construct it is
-// meaningful for.
+// Each is built one way. Daemons and routers take a ServeConfig
+// (NewDaemonWith, NewRouterWith) used as given, so start from
+// DefaultServeConfig or DefaultRouterConfig. Clients take ServeOptions
+// (Dial, DialFleet), which set only client fields.
 type (
 	// ServeDaemon accepts baselines over TCP and answers with the
 	// repaired stack, its downlink payload, and the pipeline forensics.
 	ServeDaemon = serve.Server
-	// ServeRouter fronts a fleet of daemons: same admission core and
+	// ServeRouter fronts a fleet of daemons: same admission path and
 	// wire protocol as a daemon, with admitted requests placed onto a
 	// consistent-hash ring and forwarded past ejected or saturated
 	// members.
 	ServeRouter = serve.Router
-	// ServeConfig is the single validated construction surface for
-	// daemons, routers, and clients; zero fields take defaults in the
-	// *With constructors.
+	// ServeConfig builds daemons and routers. A zero field means what
+	// its comment says and never takes a default: a zero BatchMax or
+	// BatchWindow disables batching, a zero ProbeInterval disables
+	// probing, and a zero admission bound is rejected.
 	ServeConfig = serve.Config
 	// ServeNode is one fleet member: serve address plus optional
 	// telemetry sidecar address for /healthz probing.
 	ServeNode = serve.Node
-	// ServeOption configures a ServeConfig before validation — one
-	// option type across daemon, router, and client construction.
+	// ServeOption sets a client field for Dial and DialFleet.
 	ServeOption = serve.Option
 	// ServeBackend is the processing sink a ServeDaemon feeds, satisfied
 	// by *WorkerPool (and by the router's internal fleet).
@@ -81,26 +81,15 @@ func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 // metrics, no local batching).
 func DefaultRouterConfig() ServeConfig { return serve.DefaultRouterConfig() }
 
-// NewDaemon builds a daemon over the backend (normally a *WorkerPool).
-// Call Listen to bind and Shutdown to drain.
-func NewDaemon(backend ServeBackend, opts ...ServeOption) (*ServeDaemon, error) {
-	return serve.NewServer(backend, opts...)
-}
-
-// NewDaemonWith builds a daemon from cfg; zero fields take defaults.
+// NewDaemonWith builds a daemon over the backend (normally a *WorkerPool)
+// from cfg, used as given. Call Listen to bind and Shutdown to drain.
 func NewDaemonWith(backend ServeBackend, cfg ServeConfig) (*ServeDaemon, error) {
 	return serve.NewServerWith(backend, cfg)
 }
 
-// NewRouter builds a consistent-hash fleet router; the membership
-// (WithFleet / WithFleetNodes) is required. Call Listen to bind and
-// Shutdown to drain, exactly like a daemon.
-func NewRouter(opts ...ServeOption) (*ServeRouter, error) {
-	return serve.NewRouter(opts...)
-}
-
-// NewRouterWith builds a router from cfg; zero fields take router
-// defaults.
+// NewRouterWith builds a consistent-hash fleet router from cfg, used as
+// given; cfg.Fleet names the members. Call Listen to bind and Shutdown to
+// drain, exactly like a daemon.
 func NewRouterWith(cfg ServeConfig) (*ServeRouter, error) {
 	return serve.NewRouterWith(cfg)
 }
@@ -118,46 +107,13 @@ func DialFleet(addrs []string, opts ...ServeOption) (*ServeClient, error) {
 	return serve.DialFleet(addrs, opts...)
 }
 
-// WithServeMaxInflight bounds concurrently admitted requests; beyond it
-// requests are shed with a retry-after hint instead of queued.
-func WithServeMaxInflight(n int) ServeOption { return serve.WithMaxInflight(n) }
-
-// WithServePerClientQuota bounds concurrently admitted requests per client
-// ID (0 means the global limit is the only bound).
-func WithServePerClientQuota(n int) ServeOption { return serve.WithPerClientQuota(n) }
-
-// WithServeRetryAfterHint sets the hint shed responses carry.
-func WithServeRetryAfterHint(d time.Duration) ServeOption {
-	return serve.WithRetryAfterHint(d)
-}
-
-// WithServeMaxRequestBytes bounds the payload one request may declare in
-// its header; larger requests are refused before any payload is accepted.
-func WithServeMaxRequestBytes(n int64) ServeOption {
-	return serve.WithMaxRequestBytes(n)
-}
-
-// WithServeReceiveTimeout bounds how long one header or payload frame may
-// take to arrive once it has started, so a stalled client releases its
-// admission slot.
-func WithServeReceiveTimeout(d time.Duration) ServeOption {
-	return serve.WithReceiveTimeout(d)
-}
-
-// WithServeBatching coalesces admitted requests into pool submission
-// waves: a batch flushes at max members or when its oldest member has
-// waited window.
-func WithServeBatching(max int, window time.Duration) ServeOption {
-	return serve.WithBatching(max, window)
-}
-
-// WithServeTelemetry wires the construct's metrics into reg: serve_* on
-// daemons, router_* on routers, client_* on clients.
+// WithServeTelemetry wires a client's metrics (client_*) and spans into
+// reg.
 func WithServeTelemetry(reg *TelemetryRegistry) ServeOption {
 	return serve.WithTelemetry(reg)
 }
 
-// WithServeLogger routes the construct's structured logs into l.
+// WithServeLogger routes a client's retry logs into l.
 func WithServeLogger(l *slog.Logger) ServeOption { return serve.WithLogger(l) }
 
 // WithServeClientID names the client for the daemon's quota accounting
@@ -178,47 +134,11 @@ func WithServeClientDialBackoff(attempts int, base time.Duration) ServeOption {
 	return serve.WithClientDialBackoff(attempts, base)
 }
 
-// WithFleet sets the fleet membership for routers and fleet-aware
-// clients: each node's serve address plus an optional telemetry sidecar
-// address that /healthz probing and queue-depth spillover read.
-func WithFleet(nodes ...ServeNode) ServeOption { return serve.WithFleet(nodes...) }
-
-// WithFleetAddrs is WithFleet for bare serve addresses (TCP dial
-// probing, no sidecar).
-func WithFleetAddrs(addrs ...string) ServeOption { return serve.WithFleetAddrs(addrs...) }
-
-// WithRing tunes consistent-hash placement: vnodes virtual nodes per
-// member and the placement seed. Every router and fleet-aware client in
-// front of the same fleet must agree on both.
+// WithRing tunes a fleet-aware client's consistent-hash placement:
+// vnodes virtual nodes per member and the placement seed. Every router
+// and fleet-aware client in front of the same fleet must agree on both.
 func WithRing(vnodes int, seed uint64) ServeOption { return serve.WithRing(vnodes, seed) }
 
-// WithHealthProbe tunes fleet membership probing: every interval each
-// node is probed and failures consecutive misses eject it into
-// exponential-backoff quarantine with half-open readmission. interval
-// <= 0 disables the background prober (forwarding failures still trip
-// the breaker).
-func WithHealthProbe(interval time.Duration, failures int) ServeOption {
-	return serve.WithHealthProbe(interval, failures)
-}
-
-// WithSpillover re-routes requests away from a fleet member whose queue
-// depth has reached depth, onto the next ring successor; depth <= 0
-// disables spillover.
-func WithSpillover(depth int) ServeOption { return serve.WithSpillover(depth) }
-
-// DefaultServeDedupeCap is the dedupe cache bound WithServeDedupe users
-// get when they don't pick one.
+// DefaultServeDedupeCap is a sane ServeConfig.DedupeCap for a daemon
+// that enables content-addressed dedupe.
 const DefaultServeDedupeCap = serve.DefaultDedupeCap
-
-// WithServeWAL gives the daemon a write-ahead request log in dir: every
-// admitted baseline is durably appended (size-capped, hash-verified
-// chunks) before it enters the batcher and committed when its exchange
-// resolves, so ServeDaemon.ReplayWAL after a crash re-runs exactly the
-// admitted-but-unserved requests. sync fsyncs each append and commit.
-func WithServeWAL(dir string, sync bool) ServeOption { return serve.WithWAL(dir, sync) }
-
-// WithServeDedupe enables content-addressed dedupe on the daemon: a
-// baseline hashing identically to a previously served one is answered
-// from a bounded cache of cap results without re-running the pipeline
-// (which is deterministic, so the cached answer is bit-identical).
-func WithServeDedupe(cap int) ServeOption { return serve.WithDedupe(cap) }

@@ -24,13 +24,13 @@ func TestServeFacade(t *testing.T) {
 	pool.AddWorker(lw)
 
 	reg := spaceproc.NewTelemetryRegistry()
-	daemon, err := spaceproc.NewDaemon(pool,
-		spaceproc.WithServeMaxInflight(4),
-		spaceproc.WithServePerClientQuota(2),
-		spaceproc.WithServeRetryAfterHint(10*time.Millisecond),
-		spaceproc.WithServeBatching(4, time.Millisecond),
-		spaceproc.WithServeTelemetry(reg),
-	)
+	cfg := spaceproc.DefaultServeConfig()
+	cfg.MaxInflight = 4
+	cfg.PerClientQuota = 2
+	cfg.RetryAfter = 10 * time.Millisecond
+	cfg.BatchMax, cfg.BatchWindow = 4, time.Millisecond
+	cfg.Telemetry = reg
+	daemon, err := spaceproc.NewDaemonWith(pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"testing"
 
 	"spaceproc"
@@ -48,21 +49,21 @@ func TestPipelineFlowThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := make([]spaceproc.Worker, 4)
-	for i := range workers {
+	pool, err := spaceproc.NewWorkerPool(spaceproc.WithPoolTileSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < 4; i++ {
 		w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers[i] = w
+		pool.AddWorker(w)
 	}
-	master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run(scene.Observed)
-	if err != nil {
-		t.Fatal(err)
+	res := <-pool.Submit(context.Background(), scene.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	if res.Stats.Hits == 0 {
 		t.Fatal("no cosmic rays rejected")

@@ -75,15 +75,11 @@ const (
 // NewTelemetryRegistry returns an empty registry.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
-// WithTelemetry instruments a Master: per-tile dispatch/process/retry/blit
-// spans, per-worker latency histograms, and pipeline_* counters land in
-// reg.
-func WithTelemetry(reg *TelemetryRegistry) MasterOption { return cluster.WithTelemetry(reg) }
-
-// WithPoolTelemetry instruments a WorkerPool: everything WithTelemetry
-// records, plus the pool health gauges (pipeline_pool_workers_healthy,
+// WithPoolTelemetry instruments a WorkerPool: per-tile dispatch/process/
+// retry/blit spans, per-worker latency histograms, pipeline_* counters,
+// the pool health gauges (pipeline_pool_workers_healthy,
 // pipeline_pool_workers_quarantined, pipeline_pool_queue_depth) and the
-// circuit open/close counters.
+// circuit open/close counters land in reg.
 func WithPoolTelemetry(reg *TelemetryRegistry) WorkerPoolOption {
 	return cluster.WithPoolTelemetry(reg)
 }
@@ -129,8 +125,8 @@ func DefaultAdaptiveConfig(model CostModel) AdaptiveConfig {
 func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveWorker, error) { return cluster.NewAdaptive(cfg) }
 
 // ContextWithTrace returns ctx carrying tracer and the trace position tc;
-// instrumented components (Master, RemoteWorker, mission stages) continue
-// the trace from it.
+// instrumented components (WorkerPool, RemoteWorker, mission stages)
+// continue the trace from it.
 func ContextWithTrace(ctx context.Context, tracer *Tracer, tc TraceContext) context.Context {
 	return telemetry.ContextWithTrace(ctx, tracer, tc)
 }
@@ -153,9 +149,6 @@ func SeedTraceIDs(seed, stream uint64) { telemetry.SeedTraceIDs(seed, stream) }
 func NewStructuredLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return telemetry.NewLogger(w, level)
 }
-
-// WithMasterLogger routes the master's retry/failure diagnostics into l.
-func WithMasterLogger(l *slog.Logger) MasterOption { return cluster.WithLogger(l) }
 
 // WithWorkerServerLogger routes a WorkerServer's serve failures into l.
 func WithWorkerServerLogger(l *slog.Logger) WorkerServerOption {

@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,21 +31,21 @@ func TestTelemetrySnapshotLargeBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre.Instrument(reg)
-	workers := make([]spaceproc.Worker, 4)
-	for i := range workers {
+	pool, err := spaceproc.NewWorkerPool(
+		spaceproc.WithPoolTileSize(128), spaceproc.WithPoolTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for i := 0; i < 4; i++ {
 		w, err := spaceproc.NewLocalWorker(pre, spaceproc.DefaultCRConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers[i] = w
+		pool.AddWorker(w)
 	}
-	m, err := spaceproc.NewMaster(workers,
-		spaceproc.WithTileSize(128), spaceproc.WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(scene.Observed); err != nil {
-		t.Fatal(err)
+	if res := <-pool.Submit(context.Background(), scene.Observed); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 
 	snap := reg.Snapshot()
