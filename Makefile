@@ -67,7 +67,8 @@ bench-compare:
 # differential fuzzers, the way-threshold histogram against its sort
 # reference, the integer-exact cosmic-ray integrators against their
 # sort-based float64 reference, the permutation bijectivity fuzzer, the
-# campaign site enumerator, the codec/parser fuzzers, the little-endian
+# campaign site enumerator, the word-speed Rice encoder against its
+# byte-at-a-time reference, the codec/parser fuzzers, the little-endian
 # pixel codec every port, digest and WAL record shares (decode of
 # arbitrary bytes, round trip, zero-copy view against the portable
 # conversion), the budgeted gob receive both network ports read through
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzPixels$$' -fuzztime $(FUZZTIME) ./internal/dataset

@@ -14,22 +14,19 @@ import (
 // radiance field and compress hard; the low halves carry most of the
 // entropy and cost close to verbatim, bounded by the per-block escape.
 
-// EncodeFloat32 compresses an IEEE-754 float32 sample stream.
+// EncodeFloat32 compresses an IEEE-754 float32 sample stream: a 4-byte
+// length of the high-half encoding, that encoding, then the low halves'.
 func EncodeFloat32(samples []float32) []byte {
-	hi := make([]uint16, len(samples))
-	lo := make([]uint16, len(samples))
+	half := make([]uint16, len(samples))
 	for i, v := range samples {
-		bits := math.Float32bits(v)
-		hi[i] = uint16(bits >> 16)
-		lo[i] = uint16(bits)
+		half[i] = uint16(math.Float32bits(v) >> 16)
 	}
-	encHi := Encode(hi)
-	encLo := Encode(lo)
-	out := make([]byte, 4, 4+len(encHi)+len(encLo))
-	binary.BigEndian.PutUint32(out, uint32(len(encHi)))
-	out = append(out, encHi...)
-	out = append(out, encLo...)
-	return out
+	out := appendEncode(make([]byte, 4, 4+2*MaxEncodedLen(len(samples))), half)
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	for i, v := range samples {
+		half[i] = uint16(math.Float32bits(v))
+	}
+	return appendEncode(out, half)
 }
 
 // DecodeFloat32 reverses EncodeFloat32.
@@ -61,9 +58,8 @@ func DecodeFloat32(data []byte) ([]float32, error) {
 
 // RatioFloat32 returns the compression ratio achieved on samples.
 func RatioFloat32(samples []float32) float64 {
-	enc := EncodeFloat32(samples)
-	if len(enc) == 0 {
+	if len(samples) == 0 {
 		return 1
 	}
-	return float64(4*len(samples)) / float64(len(enc))
+	return float64(4*len(samples)) / float64(len(EncodeFloat32(samples)))
 }

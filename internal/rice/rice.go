@@ -11,12 +11,20 @@
 // bounds the worst case on incompressible (e.g. cosmic-ray-riddled) data —
 // the mechanism behind the paper's note that CR hits degrade the
 // compression ratio.
+//
+// The encoder runs at word speed. A block's coded size is convex in k, so
+// the search walks from the bit length of the block mean to the first k
+// that does not improve instead of trying every k. The bit writer keeps a
+// 64-bit accumulator and stores 32 bits at a time; a value's unary run,
+// terminator and low bits go in as one write when they fit in 32 bits.
+// The output is appended into one buffer sized by MaxEncodedLen.
 package rice
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // BlockSize is the number of samples per independently-parameterized block.
@@ -39,46 +47,56 @@ var (
 // Encode compresses samples. The output is self-describing: a header with
 // the sample count followed by the coded blocks.
 func Encode(samples []uint16) []byte {
-	var w bitWriter
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(samples)))
-	w.bytes = append(w.bytes, hdr[:]...)
+	return appendEncode(make([]byte, 0, MaxEncodedLen(len(samples))), samples)
+}
 
+// MaxEncodedLen returns the longest encoding of n samples: the 4-byte
+// header, then every block escaped to verbatim (a 5-bit k and 16 bits a
+// sample), padded to a whole byte. Incompressible input reaches it.
+func MaxEncodedLen(n int) int {
+	blocks := (n + BlockSize - 1) / BlockSize
+	return 4 + (5*blocks+16*n+7)/8
+}
+
+// appendEncode appends the encoding of samples to dst. With
+// MaxEncodedLen(len(samples)) bytes of spare capacity it never grows dst.
+func appendEncode(dst []byte, samples []uint16) []byte {
+	w := bitWriter{bytes: binary.BigEndian.AppendUint32(dst, uint32(len(samples)))}
 	prev := uint16(0)
-	mapped := make([]uint32, 0, BlockSize)
+	var mapped [BlockSize]uint32
 	for off := 0; off < len(samples); off += BlockSize {
-		end := off + BlockSize
-		if end > len(samples) {
-			end = len(samples)
-		}
-		mapped = mapped[:0]
+		block := samples[off:min(off+BlockSize, len(samples))]
+		m := mapped[:len(block)]
 		p := prev
-		for _, s := range samples[off:end] {
-			mapped = append(mapped, zigzag(int32(s)-int32(p)))
+		for i, s := range block {
+			m[i] = zigzag(int32(s) - int32(p))
 			p = s
 		}
 		prev = p
 
-		k, cost := bestK(mapped)
-		verbatimCost := 5 + 16*len(mapped)
-		if cost >= verbatimCost {
+		k, cost := bestK(m)
+		if cost >= 5+16*len(m) {
 			w.writeBits(escapeK, 5)
-			for _, s := range samples[off:end] {
+			for _, s := range block {
 				w.writeBits(uint32(s), 16)
 			}
 			continue
 		}
 		w.writeBits(uint32(k), 5)
-		for _, m := range mapped {
-			q := m >> uint(k)
-			for ; q >= 32; q -= 32 {
+		top := uint32(1) << uint(k)
+		for _, v := range m {
+			// q zeros, the terminating 1, then the k low bits.
+			q := int(v >> uint(k))
+			code := top | v&(top-1)
+			if n := q + 1 + k; n <= 32 {
+				w.writeBits(code, n)
+				continue
+			}
+			for ; q > 32; q -= 32 {
 				w.writeBits(0, 32)
 			}
-			// q zeros then a terminating 1.
-			w.writeBits(1, int(q)+1)
-			if k > 0 {
-				w.writeBits(m&(1<<uint(k)-1), k)
-			}
+			w.writeBits(0, q)
+			w.writeBits(code, 1+k)
 		}
 	}
 	w.flush()
@@ -158,23 +176,44 @@ func Decode(data []byte) ([]uint16, error) {
 }
 
 // bestK returns the Rice parameter minimizing the coded size of the mapped
-// block, along with that size in bits (excluding the 5-bit k field... the
-// returned cost includes it so callers can compare against verbatim).
+// block and that size in bits, the 5-bit k field included so callers can
+// compare it against verbatim. The size 5 + n(1+k) + Σ m>>k is convex in k:
+// its step n − Σ⌈(m>>k)/2⌉ never decreases as k grows. So a walk from
+// bitlen(mean) − 1 that stops at the first k that does not improve finds
+// the minimum, and walking down on ties keeps the smallest minimizing k.
 func bestK(mapped []uint32) (int, int) {
-	bestParam, bestCost := 0, 1<<62
-	for k := 0; k <= maxK; k++ {
-		cost := 5
-		for _, m := range mapped {
-			cost += int(m>>uint(k)) + 1 + k
-			if cost >= bestCost {
-				break
-			}
-		}
-		if cost < bestCost {
-			bestParam, bestCost = k, cost
-		}
+	sum := 0
+	for _, m := range mapped {
+		sum += int(m)
 	}
-	return bestParam, bestCost
+	k := min(max(bits.Len(uint(sum/len(mapped)))-1, 0), maxK)
+	cost := blockCost(mapped, k)
+	up := false
+	for k < maxK {
+		c := blockCost(mapped, k+1)
+		if c >= cost {
+			break
+		}
+		k, cost, up = k+1, c, true
+	}
+	for !up && k > 0 {
+		c := blockCost(mapped, k-1)
+		if c > cost {
+			break
+		}
+		k, cost = k-1, c
+	}
+	return k, cost
+}
+
+// blockCost is the coded size in bits of the mapped block at parameter k,
+// k field included.
+func blockCost(mapped []uint32, k int) int {
+	cost := 5 + len(mapped)*(1+k)
+	for _, m := range mapped {
+		cost += int(m >> uint(k))
+	}
+	return cost
 }
 
 // zigzag folds a signed delta into a non-negative integer: 0, -1, 1, -2, 2
@@ -188,26 +227,29 @@ func unzigzag(u uint32) int32 {
 	return int32(u>>1) ^ -int32(u&1)
 }
 
-// bitWriter accumulates big-endian bit strings.
+// bitWriter accumulates big-endian bit strings, storing 32 bits at a time.
 type bitWriter struct {
 	bytes []byte
-	acc   uint64
-	nbits int
+	acc   uint64 // pending bits in the low nbits; higher bits are stale
+	nbits int    // below 32 between writes
 }
 
-// writeBits appends the low n bits of v, most significant first. For unary
-// runs the caller may pass up to 32 bits at once.
+// writeBits appends the n low bits of v (n <= 32, v < 1<<n), most
+// significant first.
 func (w *bitWriter) writeBits(v uint32, n int) {
-	w.acc = w.acc<<uint(n) | uint64(v)&(1<<uint(n)-1)
+	w.acc = w.acc<<uint(n) | uint64(v)
 	w.nbits += n
-	for w.nbits >= 8 {
-		w.nbits -= 8
-		w.bytes = append(w.bytes, byte(w.acc>>uint(w.nbits)))
+	if w.nbits >= 32 {
+		w.nbits -= 32
+		w.bytes = binary.BigEndian.AppendUint32(w.bytes, uint32(w.acc>>uint(w.nbits)))
 	}
 }
 
-// flush pads the final byte with zero bits.
+// flush stores the pending bits, padding the final byte with zero bits.
 func (w *bitWriter) flush() {
+	for ; w.nbits >= 8; w.nbits -= 8 {
+		w.bytes = append(w.bytes, byte(w.acc>>uint(w.nbits-8)))
+	}
 	if w.nbits > 0 {
 		w.bytes = append(w.bytes, byte(w.acc<<uint(8-w.nbits)))
 		w.nbits = 0
@@ -240,9 +282,8 @@ func (r *bitReader) readBits(n int) (uint32, error) {
 // Ratio returns the compression ratio achieved on samples: input bytes over
 // encoded bytes. Larger is better; 1 means no compression.
 func Ratio(samples []uint16) float64 {
-	enc := Encode(samples)
-	if len(enc) == 0 {
+	if len(samples) == 0 {
 		return 1
 	}
-	return float64(2*len(samples)) / float64(len(enc))
+	return float64(2*len(samples)) / float64(len(Encode(samples)))
 }

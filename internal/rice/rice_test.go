@@ -198,6 +198,56 @@ func TestRatio(t *testing.T) {
 	if r := Ratio(make([]uint16, 640)); r < 10 {
 		t.Fatalf("all-zero ratio = %.2f, want large", r)
 	}
+	// Nothing to compress is no compression, not a ratio of 0.
+	if r := Ratio(nil); r != 1 {
+		t.Errorf("empty ratio = %v, want 1", r)
+	}
+	if r := RatioFloat32(nil); r != 1 {
+		t.Errorf("empty float32 ratio = %v, want 1", r)
+	}
+}
+
+// TestMaxEncodedLenIsReached checks the bound is the worst case exactly:
+// full-scale swings escape every block, and the encoding fills the bound.
+func TestMaxEncodedLenIsReached(t *testing.T) {
+	for _, n := range []int{1, 31, 32, 33, 1000} {
+		s := make([]uint16, n)
+		for i := 0; i < n; i += 2 {
+			s[i] = 65535
+		}
+		if got, want := len(Encode(s)), MaxEncodedLen(n); got != want {
+			t.Errorf("%d samples: all-escape encoding is %d bytes, MaxEncodedLen %d", n, got, want)
+		}
+	}
+}
+
+// TestEncodeAllocs pins the one output buffer: Encode allocates only its
+// result, EncodeFloat32 its result and one half-word slice.
+func TestEncodeAllocs(t *testing.T) {
+	smooth, err := synth.GaussianSeries(synth.SeriesConfig{N: 16384, Initial: 27000, Sigma: 30}, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(12)
+	image := make([]uint16, 128*128)
+	for i := range image {
+		image[i] = 27000 + uint16(src.Intn(200))
+		if src.Bernoulli(0.01) {
+			image[i] = 65535
+		}
+	}
+	for name, s := range map[string][]uint16{"smooth": smooth, "image": image} {
+		if n := testing.AllocsPerRun(10, func() { Encode(s) }); n != 1 {
+			t.Errorf("Encode(%s) makes %v allocations, want 1", name, n)
+		}
+	}
+	sc, err := synth.NewOTISScene(synth.DefaultOTISConfig(synth.Blob), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { EncodeFloat32(sc.Cube.Data) }); n != 2 {
+		t.Errorf("EncodeFloat32 makes %v allocations, want 2", n)
+	}
 }
 
 func TestLargeValuesWithHugeDeltas(t *testing.T) {

@@ -391,13 +391,9 @@ func endAttempt(att *telemetry.TraceSpan, retryIn time.Duration, err error) {
 // resultBudget bounds the wire bytes of a served result for a w x h
 // request: the image's little-endian pixels, the Rice payload at its
 // worst, and maxHeaderBytes for stats, framing and type definitions.
-// Rice's worst case escapes every block to verbatim: a 4-byte sample
-// count, then per block of up to rice.BlockSize samples a 5-bit k and 16
-// bits a sample.
 func resultBudget(w, h int) int64 {
-	n := int64(w) * int64(h)
-	blocks := (n + rice.BlockSize - 1) / rice.BlockSize
-	return 2*n + 4 + (5*blocks+16*n+7)/8 + maxHeaderBytes
+	n := w * h
+	return 2*int64(n) + int64(rice.MaxEncodedLen(n)) + maxHeaderBytes
 }
 
 // terminalError marks a server-reported failure that retrying cannot fix.
