@@ -82,6 +82,47 @@ func BenchmarkProcessStack(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessStackDepth measures a worker's per-tile vote, one
+// ProcessStackPlanes pass over a 128x128 tile with a warm scratch, at the
+// depths that select each lane stride of the plane kernel: 16 readouts
+// (four pixels per plane word, the serve workloads' depth), 32 (two) and
+// 64 (one). The damaged frames are restored outside the timer before
+// every pass; ns/sample divides the pass by the tile's readout count.
+func BenchmarkProcessStackDepth(b *testing.B) {
+	a, err := spaceproc.NewAlgoNGST(spaceproc.DefaultNGSTConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, depth := range []int{16, 32, 64} {
+		cfg := spaceproc.DefaultSceneConfig()
+		cfg.Width, cfg.Height = 128, 128
+		cfg.Readouts = depth
+		scene, err := spaceproc.NewScene(cfg, spaceproc.NewRNG(40))
+		if err != nil {
+			b.Fatal(err)
+		}
+		damaged := scene.Observed
+		spaceproc.Uncorrelated{Gamma0: 0.01}.InjectStack(damaged, spaceproc.NewRNGStream(40, 1))
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
+			npix := cfg.Width * cfg.Height
+			work := damaged.Clone()
+			sc := spaceproc.NewVoteScratch()
+			a.ProcessStackPlanes(work, 0, npix, sc, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for t, f := range damaged.Frames {
+					copy(work.Frames[t].Pix, f.Pix)
+				}
+				b.StartTimer()
+				a.ProcessStackPlanes(work, 0, npix, sc, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*npix*depth), "ns/sample")
+		})
+	}
+}
+
 // BenchmarkPipelineRun measures the full master/worker pipeline at worker
 // shard counts of 1 (classic) and 0 (auto = GOMAXPROCS); the allocated
 // B/op against the pre-scratch baseline is the tentpole's acceptance

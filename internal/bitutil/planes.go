@@ -25,18 +25,6 @@ func LaneMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// LaneValue reassembles lane's value from its bit planes: bit b of the
-// result is bit lane of planes[b]. The inverse of one column of
-// TransposeBlock64x32, used to extract the handful of candidate lanes a
-// voter pass flags without untransposing the whole block.
-func LaneValue(planes []uint64, lane int) uint32 {
-	var v uint32
-	for b, p := range planes {
-		v |= uint32((p>>uint(lane))&1) << uint(b)
-	}
-	return v
-}
-
 // Block-diagonal swap masks: swapMask(j) selects, inside every 2j-bit
 // group of a word, the low j bits.
 const (
@@ -59,6 +47,21 @@ func swapRound(w []uint64, j int, m uint64, limit int) {
 	}
 }
 
+// TransposePacked16 finishes a width <= 16 block transpose from its
+// packed state: on entry w[k] holds lane k+16m in bits [16m, 16m+16) for
+// m = 0..3; on return w[b] holds bit plane b. TransposeBlock64x32 packs
+// its lanes into that state and calls it. A caller whose data already
+// sits there skips the packing: four consecutive 16-bit pixels of one
+// frame, read as one little-endian word, are word k of a block whose lane
+// 16m+k is readout k of the m-th pixel.
+func TransposePacked16(w *[16]uint64) {
+	s := w[:]
+	swapRound(s, 8, swap8, 16)
+	swapRound(s, 4, swap4, 16)
+	swapRound(s, 2, swap2, 16)
+	swapRound(s, 1, swap1, 16)
+}
+
 // TransposeBlock64x32 transposes a block in place from lane-major to
 // plane-major: on entry w[l] holds lane l's value in its low width bits
 // (width in [1, 32]; bits at or above width must be zero); on return w[b]
@@ -79,11 +82,7 @@ func TransposeBlock64x32(w *[64]uint64, width int) {
 		for k := 0; k < 16; k++ {
 			w[k] = w[k] | w[k+16]<<16 | w[k+32]<<32 | w[k+48]<<48
 		}
-		s := w[:16]
-		swapRound(s, 8, swap8, 16)
-		swapRound(s, 4, swap4, 16)
-		swapRound(s, 2, swap2, 16)
-		swapRound(s, 1, swap1, 16)
+		TransposePacked16((*[16]uint64)(w[:16]))
 		return
 	}
 	// Round j=32 on data confined to the low 32 bits packs two lanes per

@@ -63,14 +63,22 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLaneValueMatchesTranspose(t *testing.T) {
+// TestTransposePacked16MatchesNaive feeds the swap rounds a block packed
+// the way a strided gather packs it (lane 16m+k in bits [16m, 16m+16) of
+// word k) and checks the planes against the bit-gather reference.
+func TestTransposePacked16MatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	lanes := randLanes(r, 16, 64)
-	planes := lanes
-	TransposeBlock64x32(&planes, 16)
-	for l := 0; l < 64; l++ {
-		if got := LaneValue(planes[:16], l); uint64(got) != lanes[l] {
-			t.Fatalf("lane %d: got %x want %x", l, got, lanes[l])
+	for trial := 0; trial < 50; trial++ {
+		lanes := randLanes(r, 16, 1+r.Intn(64))
+		var w [16]uint64
+		for k := range w {
+			w[k] = lanes[k] | lanes[k+16]<<16 | lanes[k+32]<<32 | lanes[k+48]<<48
+		}
+		TransposePacked16(&w)
+		for b, want := range naiveTranspose(lanes, 16) {
+			if w[b] != want {
+				t.Fatalf("trial %d plane %d: got %016x want %016x", trial, b, w[b], want)
+			}
 		}
 	}
 }

@@ -78,9 +78,9 @@ var _ Worker = (*LocalWorker)(nil)
 type LocalWorkerOption func(*LocalWorker)
 
 // WithShards sets the worker's intra-tile parallelism: the tile's
-// flattened pixel range is split across n goroutines on 64-pixel word
-// boundaries (the plane-major gather granularity), each preprocessing and
-// integrating its own range with its own scratch and stats collectors. n
+// flattened pixel range is split across n goroutines on 64-pixel
+// boundaries, each preprocessing and integrating its own range with its
+// own scratch and stats collectors. n
 // is clamped to [1, GOMAXPROCS]; passing 0 selects GOMAXPROCS (auto).
 // The default of 1 preserves the classic one-goroutine-per-tile
 // behavior, which is right when the master already runs one goroutine
@@ -177,14 +177,14 @@ var scratchPool = sync.Pool{New: func() any { return &shardScratch{vote: core.Ne
 // preprocess repairs the stack with pre (nil skips the vote) and
 // integrates it with rej into res.Image, res.Stats and res.PreStats,
 // splitting the flattened pixel index space across up to shards
-// goroutines on 64-pixel word boundaries, the gather granularity of the
-// plane-major kernels — so bit-sliced words never straddle a shard seam
-// and the sharded pass stays bit-identical to the sequential one. Each
-// shard checks a warm scratch out of the pool and accumulates into its
-// own stats; the shard stats merge into res in shard order when every
-// shard is done. Series at distinct coordinates are independent and
-// shards own disjoint pixel ranges, so no synchronization beyond the
-// final join is needed.
+// goroutines on 64-pixel boundaries. A plane word of the AlgoNGST kernel
+// holds 4, 2 or 1 pixels (by depth), so a seam never splits one, though
+// bit identity with the sequential pass does not depend on that: each
+// pixel's vote reads only its own series. Each shard checks a warm
+// scratch out of the pool and accumulates into its own stats; the shard
+// stats merge into res in shard order when every shard is done. Series
+// at distinct coordinates are independent and shards own disjoint pixel
+// ranges, so no synchronization beyond the final join is needed.
 func preprocess(ctx context.Context, pre core.SeriesPreprocessor, rej *crreject.Rejector, s *dataset.Stack, shards int, res *TileResult) error {
 	res.Image = dataset.NewImage(s.Width(), s.Height())
 	npix := len(res.Image.Pix)
@@ -221,8 +221,8 @@ func preprocess(ctx context.Context, pre core.SeriesPreprocessor, rej *crreject.
 // rangeChunk is the cancellation granularity inside a shard: processRange
 // polls ctx between chunks of this many pixels, comparable to a handful
 // of classic 128-wide row passes, so an abandoned tile still stops
-// promptly without a ctx check on every pixel. It is a multiple of the
-// 64-pixel gather word.
+// promptly without a ctx check on every pixel. It is a multiple of every
+// plane word's pixel count.
 const rangeChunk = 4096
 
 // processRange repairs and integrates the flattened coordinate range

@@ -16,6 +16,7 @@ import (
 	"spaceproc/internal/rice"
 	"spaceproc/internal/rng"
 	"spaceproc/internal/synth"
+	"spaceproc/internal/telemetry"
 )
 
 // testScene builds a small multi-tile baseline with CR hits.
@@ -189,6 +190,51 @@ func TestPipelineCollectsPreprocessingTelemetry(t *testing.T) {
 	}
 	if res2.PreStats.Series != 0 {
 		t.Fatalf("no-preprocessing run reported telemetry: %+v", res2.PreStats)
+	}
+}
+
+// TestPoolVoteCountersMatchPreStats runs an instrumented AlgoNGST through
+// a pool on a 16-readout stack, with one worker splitting its tiles over
+// two shards: the preprocess_*_total counters, fed once per stack pass
+// call, must total exactly the Result's PreStats.
+func TestPoolVoteCountersMatchPreStats(t *testing.T) {
+	cfg := synth.DefaultSceneConfig()
+	cfg.Width, cfg.Height, cfg.Readouts = 96, 64, 16
+	sc, err := synth.NewScene(cfg, rng.New(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectStack(t, sc.Observed, 0.01, 17)
+	pre, err := core.NewAlgoNGST(core.DefaultNGSTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	pre.Instrument(reg)
+	sharded, err := NewLocalWorker(pre, crreject.DefaultConfig(), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newPool(t, append(localWorkers(t, 1, pre), sharded), WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	st := res.PreStats
+	if st.Series != 96*64 || st.Corrected == 0 || st.GuardRejected == 0 {
+		t.Fatalf("PreStats %+v: want every pixel voted, some corrections and some guard rejections", st)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"preprocess_series_total":         st.Series,
+		"preprocess_corrected_total":      st.Corrected,
+		"preprocess_bits_window_a_total":  st.BitsWindowA,
+		"preprocess_bits_window_b_total":  st.BitsWindowB,
+		"preprocess_guard_rejected_total": st.GuardRejected,
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, PreStats say %d", name, got, want)
+		}
 	}
 }
 

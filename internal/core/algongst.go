@@ -193,11 +193,6 @@ func (a *AlgoNGST) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats
 	if sc == nil {
 		sc = new(VoteScratch)
 	}
-	sc.vals = growU32(sc.vals, len(s))
-	vals := sc.vals
-	for i, v := range s {
-		vals[i] = uint32(v)
-	}
 	// When instrumented, collect into the scratch's staging VoteStats and
 	// fan out to both the caller's collector and the registry counters;
 	// otherwise the caller's pointer is used directly (zero extra cost).
@@ -206,6 +201,21 @@ func (a *AlgoNGST) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats
 		sc.stats = VoteStats{}
 		collect = &sc.stats
 	}
+	a.voteSeries(s, sc, collect)
+	if collect == &sc.stats {
+		a.logSeries(sc.stats)
+		a.finishPass(sc.stats, stats)
+	}
+}
+
+// voteSeries is the voter pass over one series in place, counting into
+// collect (nil counts nothing); the caller does the instrumentation.
+func (a *AlgoNGST) voteSeries(s dataset.Series, sc *VoteScratch, collect *VoteStats) {
+	sc.vals = growU32(sc.vals, len(s))
+	vals := sc.vals
+	for i, v := range s {
+		vals[i] = uint32(v)
+	}
 	opt := a.cfg.voteOptions(collect)
 	corr := correctTemporalAuto(sc, vals, a.cfg.Upsilon, a.cfg.Sensitivity, 16, opt, a.cfg.ScalarOnly)
 	for i, c := range corr {
@@ -213,14 +223,14 @@ func (a *AlgoNGST) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats
 			s[i] ^= uint16(c)
 		}
 	}
-	if collect == &sc.stats {
-		a.finishSeries(sc.stats, stats)
-	}
 }
 
-// logSeriesCorrected emits the forensics WARN record for one repaired
-// series.
-func (a *AlgoNGST) logSeriesCorrected(local VoteStats) {
+// logSeries emits the forensics WARN record for one series' counters
+// when a logger is attached and the series was repaired.
+func (a *AlgoNGST) logSeries(local VoteStats) {
+	if a.log == nil || local.Corrected == 0 {
+		return
+	}
 	a.log.LogAttrs(context.Background(), slog.LevelWarn, "series corrected",
 		slog.String("stage", "preprocess"),
 		slog.String("algo", a.Name()),

@@ -91,8 +91,8 @@ func (h *wayHist) add(v uint32) {
 // counted value. CeilPow2 is monotone, so that is the ceiling of the
 // phi-th greatest class, found by walking the buckets down from the top
 // instead of sorting the values. Class 32 yields 0, reproducing
-// CeilPow2's uint32 overflow (planeVote mirrors it); an empty way yields
-// 1.
+// CeilPow2's uint32 overflow (the plane kernel's wayCut mirrors it); an
+// empty way yields 1.
 func (h *wayHist) threshold(phi int) uint32 {
 	n := 0
 	for k := 32; k > 0; k-- {
@@ -195,6 +195,19 @@ func (s *VoteStats) Add(other VoteStats) {
 	s.GuardRejected += other.GuardRejected
 	if other.Series > 0 {
 		s.WindowCBit = other.WindowCBit
+	}
+}
+
+// since returns what s counted after the snapshot before, with s's
+// current window C boundary: one series' share of a running collector.
+func (s VoteStats) since(before VoteStats) VoteStats {
+	return VoteStats{
+		Series:        s.Series - before.Series,
+		Corrected:     s.Corrected - before.Corrected,
+		BitsWindowA:   s.BitsWindowA - before.BitsWindowA,
+		BitsWindowB:   s.BitsWindowB - before.BitsWindowB,
+		GuardRejected: s.GuardRejected - before.GuardRejected,
+		WindowCBit:    s.WindowCBit,
 	}
 }
 

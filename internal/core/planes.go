@@ -9,10 +9,14 @@ import (
 
 // This file is the plane-major (bit-sliced) voter kernel: the same
 // Algorithm 1 vote as correctTemporalScratch, restructured so one uint64
-// word carries one bit plane of all 64 readouts of a pixel and the
-// per-voter AND / leave-one-out algebra runs as whole-word operations.
-// The scalar pass in engine.go is the oracle; the differential tests and
-// fuzz targets in planes_test.go assert the two are bit-identical.
+// word carries one bit plane of a block of readouts and the per-voter AND
+// / leave-one-out algebra runs as whole-word operations. Readouts sit in
+// the lanes at a stride s of 16, 32 or 64: lane g*s+i holds readout i of
+// the block's g-th series, so one word votes 64/s series at once (four
+// pixels of a 16-readout stack, two of a 32-readout one, one pixel of a
+// deeper stack or one scalar series). The scalar pass in engine.go is the
+// oracle; the differential tests and fuzz targets in planes_test.go and
+// the digest in ngst_golden_test.go assert the two are bit-identical.
 
 // grow64 is growU32 for uint64 plane buffers.
 func grow64(buf []uint64, n int) []uint64 {
@@ -22,26 +26,89 @@ func grow64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// planeVote runs one pixel's voter pass over its bit planes: planes[b] is
-// bit plane b of the n-readout series (lane i = readout i, bits at or
-// above n zero). It fills sc.cplanes with the per-plane candidate
-// correction masks, stashes the window masks in sc.planeLSB/planeMSB, and
-// returns the OR of all correction planes (bit i set = lane i has a
-// nonzero candidate correction). The caller finalizes candidates with
-// planeAccept, which applies the carry guard that needs scalar values.
-//
-// The caller must have validated lambda > 0, 3 <= n <= 64, upsilon >= 2.
-func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, opt voteOptions) uint64 {
-	half := upsilon / 2
-	if half > n-1 {
-		half = n - 1
+// laneStride returns the plane kernel's lane stride for n readouts: the
+// smallest of 16, 32 and 64 that holds them.
+func laneStride(n int) int {
+	switch {
+	case n <= 16:
+		return 16
+	case n <= 32:
+		return 32
+	}
+	return 64
+}
+
+// planeGeom holds the plane kernel's per-geometry constants, derived from
+// the series length, Upsilon, Lambda, the phi formula, the lane stride and
+// the payload width. planeSetup computes them once per geometry and
+// caches them in the VoteScratch.
+type planeGeom struct {
+	n, upsilon, lambda, stride, width int
+	literalPhi                        bool
+	// half is the number of voter ways, Upsilon/2 clamped to n-1.
+	half int
+	// rep1 has bit 0 of every stride-wide group field set. A word of one
+	// bit per group at the group's bit 0, times groupLanes (the low
+	// stride lanes), spreads each bit over its group's lanes; times a
+	// value below 2^stride, it places that value in each flagged field.
+	rep1, groupLanes uint64
+	// eligible selects, in every group, the lanes with at least two
+	// consultable neighbors (the scalar pass skips the rest).
+	eligible uint64
+	// ways[d-1] selects lanes [0, n-d) of every group: the lanes holding
+	// the forward-d XOR value, the way's value set.
+	ways []uint64
+	// phis[d-1] is the way's prune index phi. Below stride 64 it is the
+	// minuend of the group scan's SWAR compare instead: phi-1 in every
+	// group field, with the field's top bit set.
+	phis []uint64
+}
+
+// planeSetup makes sc.geom describe the given geometry, recomputing the
+// constants only when it changed, and carves the plane workspaces
+// (xplanes, hib, pms, cplanes) from one backing buffer, so the kernel
+// costs a single allocation even on a cold scratch. Strides below 64 take
+// widths up to 16, the stack path's pixel width.
+func (sc *VoteScratch) planeSetup(n, upsilon, lambda, stride, width int, literalPhi bool) {
+	g := &sc.geom
+	if g.n == n && g.upsilon == upsilon && g.lambda == lambda && g.stride == stride &&
+		g.width == width && g.literalPhi == literalPhi {
+		return
+	}
+	half := min(upsilon/2, n-1)
+	*g = planeGeom{
+		n: n, upsilon: upsilon, lambda: lambda, stride: stride, width: width,
+		literalPhi: literalPhi, half: half,
+		groupLanes: bitutil.LaneMask(stride),
+		ways:       grow64(g.ways, half),
+		phis:       grow64(g.phis, half),
+	}
+	for l := 0; l < 64; l += stride {
+		g.rep1 |= 1 << uint(l)
 	}
 	phiOf := PruneIndex
-	if opt.literalPhi {
+	if literalPhi {
 		phiOf = PruneIndexLiteral
 	}
-	// Carve every plane workspace from one backing buffer: the whole
-	// kernel costs a single allocation even on a cold scratch.
+	// Eligibility counts voter presence with two sequential accumulators
+	// (a1 = >=1 voter, a2 = >=2 voters).
+	var a1, a2 uint64
+	for d := 1; d <= half; d++ {
+		pf := bitutil.LaneMask(n-d) * g.rep1
+		pb := pf << uint(d)
+		g.ways[d-1] = pf
+		a2 |= a1 & pf
+		a1 |= pf
+		a2 |= a1 & pb
+		a1 |= pb
+		phi := uint64(phiOf(lambda, n-d))
+		if stride < 64 {
+			phi = (phi-1)*g.rep1 | g.rep1<<uint(stride-1)
+		}
+		g.phis[d-1] = phi
+	}
+	g.eligible = a2 & (bitutil.LaneMask(n) * g.rep1)
+
 	need := half*width + (width + 1) + half + width
 	sc.plane64 = grow64(sc.plane64, need)
 	buf := sc.plane64
@@ -49,15 +116,37 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 	sc.hib, buf = buf[:width+1:width+1], buf[width+1:]
 	sc.pms, buf = buf[:half:half], buf[half:]
 	sc.cplanes = buf[:width:width]
-	sc.vvals = growU32(sc.vvals, half)
+}
 
+// planeVote runs the voter pass over one block in the geometry planeSetup
+// last set: planes[b] is bit plane b of the block, whose first groups
+// series sit at the lane stride (lanes of readouts at or above n, and of
+// groups past the last, zero). It fills sc.cplanes with the per-plane
+// candidate correction lanes, stashes the packed window masks in
+// sc.planeLSB/planeMSB (group g's width-bit masks at bit g*stride; see
+// groupWindows), and returns the OR of all candidate planes. The caller
+// finalizes candidates with planeAccept, which applies the carry guard
+// that needs scalar values.
+//
+// planeSetup's geometry must satisfy lambda > 0, 3 <= n <= stride and
+// upsilon >= 2.
+func planeVote(sc *VoteScratch, planes []uint64, groups int, opt voteOptions) uint64 {
+	g := &sc.geom
+	width, stride, half := g.width, g.stride, g.half
+	// lw and mw collect the packed window masks: each way's cut-off plane
+	// k opens its group's window at bits >= k, window C's boundary is the
+	// smallest cut-off (the OR over ways) and window A's the largest (the
+	// AND). The masks are nested, so OR and AND are the scalar pass's
+	// min and max over the cut-offs.
+	lw, mw := uint64(0), ^uint64(0)
 	for d := 1; d <= half; d++ {
 		// X_d plane b: bit i = bit b of vals[i] XOR vals[i+d], the shared
-		// value set of the forward-d and backward-d ways. The planes are
-		// formed top down so hib[b] (the OR of planes b and above) builds
-		// alongside them.
+		// value set of the forward-d and backward-d ways. The shift pulls
+		// the next group's low lanes into a group's top d lanes, which the
+		// way mask clears. The planes are formed top down so hib[b] (the
+		// OR of planes b and above) builds alongside them.
 		x := sc.xplanes[(d-1)*width : d*width]
-		way := bitutil.LaneMask(n - d)
+		way := g.ways[d-1]
 		hib := sc.hib
 		var above uint64
 		hib[width] = 0
@@ -68,80 +157,46 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 			above |= xb
 			hib[b] = above
 		}
-		// The way cut-off Vval = CeilPow2(phi-th greatest XOR value) as an
-		// order statistic over popcounts: 2^j >= that value iff fewer than
-		// phi lanes hold an XOR value > 2^j, so Vval is 2^k for the
-		// smallest such k. gt is built incrementally from the suffix OR of
-		// the planes above j (any higher bit set => > 2^j) and a running OR
-		// of the planes below j (bit j plus any lower bit => > 2^j).
-		phi := phiOf(lambda, n-d)
-		var lo, pm uint64
-		k := width
-		for j := 0; j < width; j++ {
-			gt := hib[j+1] | x[j]&lo
-			if bits.OnesCount64(gt) < phi {
-				k, pm = j, gt
-				break
-			}
-			lo |= x[j]
-		}
-		if k == width {
-			// The cut-off needs a power of two above the payload width.
-			// For width 32 the scalar CeilPow2 overflows uint32 to 0,
-			// un-pruning every nonzero voter; replicate that exactly.
-			if width == 32 {
-				sc.vvals[d-1] = 0
-				pm = hib[0]
-			} else {
-				sc.vvals[d-1] = 1 << uint(width)
-				pm = 0
-			}
+		var pm, win uint64
+		if stride == 64 {
+			pm, win = wayCut(x, hib, int(g.phis[d-1]), width)
 		} else {
-			sc.vvals[d-1] = 1 << uint(k)
+			pm, win = wayCutGroups(x, hib, g, g.phis[d-1])
 		}
 		sc.pms[d-1] = pm
+		lw |= win
+		mw &= win
 	}
-
-	lsbMask, msbMask := windowMasks(sc.vvals[:half], width)
 	if opt.staticWindows {
-		lsbMask = bitutil.MaskAtOrAbove(opt.staticLSB, width)
-		msbMask = bitutil.MaskAtOrAbove(opt.staticMSB, width)
+		lw = uint64(bitutil.MaskAtOrAbove(opt.staticLSB, width)) * g.rep1
+		mw = uint64(bitutil.MaskAtOrAbove(opt.staticMSB, width)) * g.rep1
 	}
 	if opt.disableQuorum {
-		msbMask = 0
+		mw = 0
 	}
-	sc.planeLSB, sc.planeMSB = lsbMask, msbMask
+	sc.planeLSB, sc.planeMSB = lw, mw
 	if opt.stats != nil {
-		opt.stats.Series++
-		opt.stats.WindowCBit = width - bitutil.OnesCount32(lsbMask)
+		last, _ := sc.groupWindows(groups - 1)
+		opt.stats.Series += groups
+		opt.stats.WindowCBit = width - bits.OnesCount32(last)
 	}
-
-	// Eligibility: the scalar pass skips lanes with fewer than two
-	// consultable neighbors. Count voter presence with two sequential
-	// accumulators (a1 = >=1 voter, a2 = >=2 voters).
-	var a1, a2 uint64
-	for d := 1; d <= half; d++ {
-		pf := bitutil.LaneMask(n - d)
-		pb := pf << uint(d)
-		a2 |= a1 & pf
-		a1 |= pf
-		a2 |= a1 & pb
-		a1 |= pb
-	}
-	eligible := a2 & bitutil.LaneMask(n)
 
 	// Vote plane by plane. Lane i's forward-d voter is X_d at lane i, its
-	// backward-d voter X_d at lane i-d (the word shifted up by d). A
-	// pruned voter keeps voting with value 0 (killing unanimity wherever
-	// another voter disagrees), exactly as the scalar pass appends
-	// pruned() == 0 entries. Lanes where a voter does not exist are
-	// substituted with all-ones so absence never vetoes the AND and never
-	// counts toward the leave-one-out zero tally — the word vote then
-	// equals the scalar vote over the present voters only.
+	// backward-d voter X_d at lane i-d (the word shifted up by d, which
+	// stays inside the group because n <= stride). A pruned voter keeps
+	// voting with value 0 (killing unanimity wherever another voter
+	// disagrees), exactly as the scalar pass appends pruned() == 0
+	// entries. Lanes where a voter does not exist are substituted with
+	// all-ones so absence never vetoes the AND and never counts toward the
+	// leave-one-out zero tally — the word vote then equals the scalar vote
+	// over the present voters only. Each plane's window lanes come from
+	// the packed masks: bit b of every group's mask, spread over its
+	// group.
+	eligible := g.eligible & bitutil.LaneMask(groups*stride)
 	var anyC uint64
 	for b := 0; b < width; b++ {
 		var c uint64
-		if lsbMask>>uint(b)&1 == 1 {
+		if lsb := (lw >> uint(b) & g.rep1) * g.groupLanes; lsb != 0 {
 			// Fold the 2*half voter words f, k in as they are formed:
 			// and is the unanimity vote, and zero1/zero2 mark lanes where
 			// at least one/two voters hold a 0, so ^zero2 is the
@@ -149,17 +204,14 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 			and, zero1, zero2 := ^uint64(0), uint64(0), uint64(0)
 			for d := 1; d <= half; d++ {
 				xb := sc.xplanes[(d-1)*width+b] & sc.pms[d-1]
-				pf := bitutil.LaneMask(n - d)
+				pf := g.ways[d-1]
 				f, k := xb|^pf, xb<<uint(d)|^(pf<<uint(d))
 				and &= f & k
 				zero2 |= zero1&^f | (zero1|^f)&^k
 				zero1 |= ^f | ^k
 			}
-			c = and
-			if msbMask>>uint(b)&1 == 1 {
-				c |= ^zero2
-			}
-			c &= eligible
+			msb := (mw >> uint(b) & g.rep1) * g.groupLanes
+			c = (and | ^zero2&msb) & eligible & lsb
 		}
 		sc.cplanes[b] = c
 		anyC |= c
@@ -167,12 +219,87 @@ func planeVote(sc *VoteScratch, planes []uint64, n, upsilon, lambda, width int, 
 	return anyC
 }
 
+// wayCut finds one way's cut-off in a single-series block (stride 64):
+// Vval = CeilPow2(phi-th greatest XOR value) as an order statistic over
+// popcounts. 2^j >= that value iff fewer than phi lanes hold an XOR value
+// > 2^j, so Vval is 2^k for the smallest such k. gt is built
+// incrementally from the suffix OR of the planes above j (any higher bit
+// set => > 2^j) and a running OR of the planes below j (bit j plus any
+// lower bit => > 2^j). It returns the keep-mask of unpruned voters (the
+// lanes > Vval) and the window mask of bits >= k.
+func wayCut(x, hib []uint64, phi, width int) (pm, win uint64) {
+	var lo uint64
+	for j := 0; j < width; j++ {
+		gt := hib[j+1] | x[j]&lo
+		if bits.OnesCount64(gt) < phi {
+			return gt, uint64(bitutil.MaskAtOrAbove(j, width))
+		}
+		lo |= x[j]
+	}
+	// The cut-off needs a power of two above the payload width. For width
+	// 32 the scalar CeilPow2 overflows uint32 to 0, un-pruning every
+	// nonzero voter and opening the whole window (BitIndex(0) is -1);
+	// replicate that exactly. Below it the cut-off prunes every voter and
+	// closes the window.
+	if width == 32 {
+		return hib[0], uint64(bitutil.MaskAtOrAbove(0, width))
+	}
+	return 0, 0
+}
+
+// wayCutGroups is wayCut for a block of several series (stride 16 or 32):
+// each group counts its lanes > 2^j with a SWAR popcount and compares the
+// count with phi in the same word (phiHi holds phi-1 in every field under
+// the field's top bit, which survives the subtraction exactly when the
+// count is below phi). A group settles at the first such j, recording its
+// keep-mask lanes and window field; the scan stops once every group has
+// settled. A group that never settles keeps an empty window and prunes
+// every voter, the cut-off above the (at most 16-bit) payload.
+func wayCutGroups(x, hib []uint64, g *planeGeom, phiHi uint64) (pm, win uint64) {
+	stride, width := g.stride, g.width
+	var lo, settled uint64
+	for j := 0; j < width; j++ {
+		gt := hib[j+1] | x[j]&lo
+		now := (phiHi - groupCounts(gt, stride)) >> uint(stride-1) & g.rep1 &^ settled
+		if now != 0 {
+			pm |= gt & (now * g.groupLanes)
+			win |= now * uint64(bitutil.MaskAtOrAbove(j, width))
+			settled |= now
+			if settled == g.rep1 {
+				break
+			}
+		}
+		lo |= x[j]
+	}
+	return pm, win
+}
+
+// groupCounts returns the population count of each stride-wide field of
+// v (stride 16 or 32), in that field.
+func groupCounts(v uint64, stride int) uint64 {
+	v -= v >> 1 & 0x5555555555555555
+	v = v&0x3333333333333333 + v>>2&0x3333333333333333
+	v = (v + v>>4) & 0x0F0F0F0F0F0F0F0F
+	v = (v + v>>8) & 0x00FF00FF00FF00FF
+	if stride == 32 {
+		v = (v + v>>16) & 0x0000FFFF0000FFFF
+	}
+	return v
+}
+
+// groupWindows unpacks group g's window masks (lsb: bits outside window
+// C; msb: window A) from the most recent planeVote.
+func (sc *VoteScratch) groupWindows(g int) (lsb, msb uint32) {
+	sh := uint(g * sc.geom.stride)
+	return uint32(sc.planeLSB >> sh & sc.geom.groupLanes), uint32(sc.planeMSB >> sh & sc.geom.groupLanes)
+}
+
 // planeAccept applies the carry-propagation guard (and correction stats)
 // to the candidate correction c at lane i against the scalar series vals,
-// returning c if accepted and 0 if vetoed. The guard and its neighbor
-// median are the scalar pass's (engine.go); only the candidate discovery
-// differs.
-func planeAccept(sc *VoteScratch, vals []uint32, i, half int, c uint32, opt voteOptions) uint32 {
+// returning c if accepted and 0 if vetoed; lsb and msb are the series'
+// window masks. The guard and its neighbor median are the scalar pass's
+// (engine.go); only the candidate discovery differs.
+func planeAccept(sc *VoteScratch, vals []uint32, i, half int, c, lsb, msb uint32, opt voteOptions) uint32 {
 	if !opt.disableCarryGuard {
 		med := neighborMedianU32(sc, vals, i, half)
 		before, after := dist32(vals[i], med), dist32(vals[i]^c, med)
@@ -185,8 +312,8 @@ func planeAccept(sc *VoteScratch, vals []uint32, i, half int, c uint32, opt vote
 	}
 	if opt.stats != nil {
 		opt.stats.Corrected++
-		opt.stats.BitsWindowA += bitutil.OnesCount32(c & sc.planeMSB)
-		opt.stats.BitsWindowB += bitutil.OnesCount32(c & sc.planeLSB &^ sc.planeMSB)
+		opt.stats.BitsWindowA += bitutil.OnesCount32(c & msb)
+		opt.stats.BitsWindowB += bitutil.OnesCount32(c & lsb &^ msb)
 	}
 	return c
 }
@@ -215,9 +342,10 @@ func neighborMedianU32(sc *VoteScratch, vals []uint32, i, half int) uint32 {
 }
 
 // correctTemporalPlanes is the plane-major voter pass over a scalar
-// series: it transposes vals into bit planes, votes all lanes at once, and
-// finalizes only the (typically rare) candidate lanes. Bit-identical to
-// correctTemporalScratch; vals must fit in width bits.
+// series: it transposes vals into bit planes, votes all lanes at once as
+// a one-series block at stride 64, and finalizes only the candidate
+// lanes. Bit-identical to correctTemporalScratch; vals must fit in width
+// bits and hold at most 64 values.
 func correctTemporalPlanes(sc *VoteScratch, vals []uint32, upsilon, lambda, width int, opt voteOptions) []uint32 {
 	n := len(vals)
 	sc.corr = growU32(sc.corr, n)
@@ -232,46 +360,44 @@ func correctTemporalPlanes(sc *VoteScratch, vals []uint32, upsilon, lambda, widt
 	for i, v := range vals {
 		lanes[i] = uint64(v)
 	}
-	for i := n; i < 64; i++ {
-		lanes[i] = 0
-	}
+	clear(lanes[n:])
 	bitutil.TransposeBlock64x32(lanes, width)
-	anyC := planeVote(sc, lanes[:width], n, upsilon, lambda, width, opt)
+	sc.planeSetup(n, upsilon, lambda, 64, width, opt.literalPhi)
+	anyC := planeVote(sc, lanes[:width], 1, opt)
 	if anyC == 0 {
 		return corr
-	}
-	half := upsilon / 2
-	if half > n-1 {
-		half = n - 1
 	}
 	if cap(sc.neigh) < upsilon {
 		sc.neigh = make([]uint32, 0, upsilon)
 	}
 	// Scatter the candidate planes into the zeroed corr one set bit at a
 	// time (bit b of corr[i] is bit i of cplanes[b]): one step per
-	// candidate bit rather than LaneValue's width steps per candidate
-	// lane. Lanes at or above n hold no candidates (planeVote masks them
-	// out).
-	for b, p := range sc.cplanes[:width] {
+	// candidate bit rather than width steps per candidate lane. Lanes at
+	// or above n hold no candidates (planeVote masks them out).
+	for b, p := range sc.cplanes {
 		for ; p != 0; p &= p - 1 {
 			corr[bits.TrailingZeros64(p)] |= 1 << uint(b)
 		}
 	}
+	lsb, msb := sc.groupWindows(0)
 	for m := anyC; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		corr[i] = planeAccept(sc, vals, i, half, corr[i], opt)
+		corr[i] = planeAccept(sc, vals, i, sc.geom.half, corr[i], lsb, msb, opt)
 	}
 	return corr
 }
 
 // planeWorthIt reports whether the plane-major kernel beats the scalar
-// pass for a series of n values at the given bit width. The plane
-// kernel's cost scales with width (every plane word is touched whether
-// its lanes vote or not) while the scalar kernel's scales with n, so
-// short series lose the transpose bet: measured on the dev machine the
+// pass for a series of n values at the given bit width. A one-series
+// block's cost scales with width (every plane word is touched whether its
+// lanes vote or not) while the scalar kernel's scales with n, so short
+// series lose the transpose bet: measured on the dev machine the
 // crossover sits near n = width/2 (n ~ 9 at width 16, n ~ 14 at width
-// 32), and below it the scalar pass is up to ~2x faster. The upper
-// bound is the 64-lane transpose block.
+// 32), and below it the scalar pass is up to ~2x faster. The upper bound
+// is the 64-lane block. The stack path applies the same cut at width 16
+// although at stride 16 it splits a word's cost over four pixels and
+// measured faster than scalar down to 4 readouts; no workload runs a
+// stack that shallow.
 func planeWorthIt(n, width int) bool {
 	return 2*n >= width+4 && n <= 64
 }
@@ -288,15 +414,12 @@ func correctTemporalAuto(sc *VoteScratch, vals []uint32, upsilon, lambda, width 
 }
 
 // ProcessStackPlanes implements SeriesPreprocessor: the voter pass over
-// the flattened coordinate range [p0, p1) of s, streamed 64 pixels at a
-// time through a scratch-held plane-major window. Candidate corrections
-// (the rare case) are finalized against the scalar series read straight
-// from the frames; votes are computed against the original planes, so
-// corrections do not cascade, and the gathered window is never scattered
-// back — corrections XOR directly into the frames. Depths the 64-lane
-// transpose cannot hold or the cost model disfavors at the voter's 16-bit
-// width (see planeWorthIt), and a ScalarOnly configuration, take the
-// per-series scalar pass instead.
+// the flattened coordinate range [p0, p1) of s. Depths the 64-lane block
+// cannot hold or the cost model disfavors at the voter's 16-bit width
+// (see planeWorthIt), and a ScalarOnly configuration, take the per-series
+// scalar pass; the rest stream through the plane kernel 64/stride pixels
+// per block (processRangePlanes). An instrumented algorithm stages the
+// pass's counters in the scratch and feeds the registry once per call.
 func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	p0, p1 = clampRange(s, p0, p1)
 	if a.cfg.Sensitivity == 0 || p0 >= p1 {
@@ -305,83 +428,140 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 	if sc == nil {
 		sc = new(VoteScratch)
 	}
+	collect := stats
+	if a.tel != nil || a.log != nil {
+		sc.stats = VoteStats{}
+		collect = &sc.stats
+	}
+	if a.cfg.ScalarOnly || !planeWorthIt(s.Len(), 16) {
+		a.processRangeScalar(s, p0, p1, sc, collect)
+	} else {
+		a.processRangePlanes(s, p0, p1, sc, collect)
+	}
+	if collect == &sc.stats {
+		a.finishPass(sc.stats, stats)
+	}
+}
+
+// processRangePlanes is the plane-kernel stack pass over [p0, p1): each
+// block of 64/stride consecutive pixels is gathered straight into the
+// packed transpose state, transposed and voted at once. Candidate
+// corrections (the minority of lanes) are finalized per pixel against
+// the scalar series unpacked from a copy of the gathered words. Votes
+// are computed against the original planes, so corrections do not
+// cascade, and the block is never scattered back — corrections XOR
+// directly into the frames. collect may be nil.
+func (a *AlgoNGST) processRangePlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, collect *VoteStats) {
 	n := s.Len()
-	if a.cfg.ScalarOnly || !planeWorthIt(n, 16) {
-		a.processRangeScalar(s, p0, p1, sc, stats)
-		return
-	}
-	const block = 64
-	if sc.ps == nil || sc.ps.Depth != n {
-		ps, err := dataset.NewPlaneStack(n, 16, block)
-		if err != nil {
-			a.processRangeScalar(s, p0, p1, sc, stats)
-			return
-		}
-		sc.ps = ps
-	}
-	ps := sc.ps
-	half := a.cfg.Upsilon / 2
-	if half > n-1 {
-		half = n - 1
-	}
+	stride := laneStride(n)
+	sc.planeSetup(n, a.cfg.Upsilon, a.cfg.Sensitivity, stride, 16, a.cfg.LiteralPhi)
+	half, groupLanes := sc.geom.half, sc.geom.groupLanes
 	if cap(sc.neigh) < a.cfg.Upsilon {
 		sc.neigh = make([]uint32, 0, a.cfg.Upsilon)
 	}
-	for base := p0; base < p1; base += block {
-		cnt := min(p1-base, block)
-		ps.Gather(s, base, cnt)
-		for i := 0; i < cnt; i++ {
-			collect := stats
-			if a.tel != nil || a.log != nil {
-				sc.stats = VoteStats{}
-				collect = &sc.stats
+	sc.vals = growU32(sc.vals, n)
+	vals := sc.vals
+	opt := a.cfg.voteOptions(collect)
+	frames := s.Frames
+	w, raw := (*[16]uint64)(sc.lanes64[:16]), (*[16]uint64)(sc.lanes64[16:32])
+	cand := &sc.cand
+	per := 64 / stride
+	for base := p0; base < p1; base += per {
+		groups := min(per, p1-base)
+		gatherPacked(w, frames, base, groups, stride)
+		*raw = *w
+		bitutil.TransposePacked16(w)
+		anyC := planeVote(sc, w[:], groups, opt)
+		if anyC == 0 {
+			continue
+		}
+		// Scatter the candidate planes into per-lane corrections one set
+		// bit at a time; each lane's entry is read and re-zeroed below.
+		for b, p := range sc.cplanes {
+			for ; p != 0; p &= p - 1 {
+				cand[bits.TrailingZeros64(p)] |= 1 << uint(b)
 			}
-			opt := a.cfg.voteOptions(collect)
-			anyC := planeVote(sc, ps.Planes(i), n, a.cfg.Upsilon, a.cfg.Sensitivity, 16, opt)
-			if anyC != 0 {
-				p := base + i
-				sc.vals = growU32(sc.vals, n)
-				vals := sc.vals
-				for t, f := range s.Frames {
-					vals[t] = uint32(f.Pix[p])
+		}
+		for m := anyC; m != 0; {
+			g := bits.TrailingZeros64(m) / stride
+			lanes := groupLanes << uint(g*stride)
+			p := base + g
+			for t := range vals {
+				l := g*stride + t
+				vals[t] = uint32(uint16(raw[l&15] >> uint(l&^15)))
+			}
+			lsb, msb := sc.groupWindows(g)
+			var before VoteStats
+			if a.log != nil {
+				before = *collect
+			}
+			for c := m & lanes; c != 0; c &= c - 1 {
+				l := bits.TrailingZeros64(c)
+				t := l - g*stride
+				if v := planeAccept(sc, vals, t, half, cand[l], lsb, msb, opt); v != 0 {
+					frames[t].Pix[p] ^= uint16(v)
 				}
-				for m := anyC; m != 0; m &= m - 1 {
-					t := bits.TrailingZeros64(m)
-					c := bitutil.LaneValue(sc.cplanes[:16], t)
-					if c = planeAccept(sc, vals, t, half, c, opt); c != 0 {
-						s.Frames[t].Pix[p] ^= uint16(c)
-					}
-				}
+				cand[l] = 0
 			}
-			if collect == &sc.stats {
-				a.finishSeries(sc.stats, stats)
+			if a.log != nil {
+				one := collect.since(before)
+				one.WindowCBit = 16 - bits.OnesCount32(lsb)
+				a.logSeries(one)
 			}
+			m &^= lanes
+		}
+	}
+}
+
+// gatherPacked loads the pixels [p, p+groups) of frames into the packed
+// state TransposePacked16 expects for a block at the lane stride: lane
+// g*stride+r (readout r of pixel p+g), written 16m+k, sits in bits
+// [16m, 16m+16) of word k. At stride 16 word r of a full block is the four
+// pixels of frame r read as one little-endian word. Lanes of missing
+// readouts and pixels are zero. It reads only pixels inside the range.
+func gatherPacked(w *[16]uint64, frames []*dataset.Image, p, groups, stride int) {
+	if stride == 16 && groups == 4 {
+		for r, f := range frames {
+			px := f.Pix[p : p+4 : p+4]
+			w[r] = uint64(px[0]) | uint64(px[1])<<16 | uint64(px[2])<<32 | uint64(px[3])<<48
+		}
+		clear(w[len(frames):])
+		return
+	}
+	clear(w[:])
+	for r, f := range frames {
+		for g := 0; g < groups; g++ {
+			l := g*stride + r
+			w[l&15] |= uint64(f.Pix[p+g]) << uint(l&^15)
 		}
 	}
 }
 
 // processRangeScalar runs the per-series scalar pass over the flattened
 // coordinate range [p0, p1) of s: the ScalarOnly oracle, and the path for
-// depths the plane kernel does not serve.
-func (a *AlgoNGST) processRangeScalar(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// depths the plane kernel does not serve. collect may be nil.
+func (a *AlgoNGST) processRangeScalar(s *dataset.Stack, p0, p1 int, sc *VoteScratch, collect *VoteStats) {
 	w := s.Width()
 	for i := p0; i < p1; i++ {
 		x, y := i%w, i/w
 		sc.rser = s.SeriesAtBuf(x, y, sc.rser)
-		a.ProcessSeriesScratch(sc.rser, sc, stats)
+		var before VoteStats
+		if a.log != nil {
+			before = *collect
+		}
+		a.voteSeries(sc.rser, sc, collect)
+		if a.log != nil {
+			a.logSeries(collect.since(before))
+		}
 		s.SetSeriesAt(x, y, sc.rser)
 	}
 }
 
-// finishSeries fans one series' staged counters out to the registry
-// counters, the forensics logger, and the caller's collector (the tail of
-// ProcessSeriesScratch, shared with the stack plane path).
-func (a *AlgoNGST) finishSeries(local VoteStats, stats *VoteStats) {
+// finishPass fans a pass's staged counters out to the registry counters
+// and the caller's collector (nil skips either).
+func (a *AlgoNGST) finishPass(local VoteStats, stats *VoteStats) {
 	if a.tel != nil {
 		a.tel.add(local)
-	}
-	if a.log != nil && local.Corrected > 0 {
-		a.logSeriesCorrected(local)
 	}
 	if stats != nil {
 		stats.Add(local)

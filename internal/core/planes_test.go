@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"log/slog"
 	"math/rand"
 	"testing"
 
 	"spaceproc/internal/dataset"
+	"spaceproc/internal/telemetry"
 )
 
 // planeOptVariants enumerates the ablation-switch combinations the
@@ -166,6 +169,7 @@ func TestProcessStackPlanesMatchesScalar(t *testing.T) {
 	}
 	for _, geom := range []struct{ depth, w, h int }{
 		{64, 16, 16}, {64, 13, 5}, {3, 7, 7}, {17, 9, 3}, {4, 1, 1},
+		{10, 13, 5}, {16, 13, 5}, {24, 7, 3}, {32, 9, 3},
 	} {
 		src := damagedStack(rng, geom.depth, geom.w, geom.h)
 
@@ -219,30 +223,38 @@ func TestProcessStackPlanesRange(t *testing.T) {
 	}
 }
 
-// TestProcessStackPlanesZeroAlloc extends the PR-3 zero-allocation gate to
-// the plane-major stack path: once the scratch is warm, a full stack pass
-// must not touch the heap.
+// TestProcessStackPlanesZeroAlloc extends the series pass's
+// zero-allocation gate to the stack path, at the one- and four-pixel
+// word strides and with registry counters attached: once the scratch is
+// warm, a full stack pass must not touch the heap.
 func TestProcessStackPlanesZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ngst, err := NewAlgoNGST(DefaultNGSTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
-		src := damagedStack(rng, 64, 16, 8)
-		work := src.Clone()
-		sc := NewVoteScratch()
-		var stats VoteStats
-		pre.ProcessStackPlanes(work, 0, 128, sc, &stats)
-		allocs := testing.AllocsPerRun(10, func() {
-			for fi := range work.Frames {
-				copy(work.Frames[fi].Pix, src.Frames[fi].Pix)
-			}
+	instrumented, err := NewAlgoNGST(DefaultNGSTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrumented.Instrument(telemetry.NewRegistry())
+	for _, depth := range []int{16, 64} {
+		for _, pre := range []SeriesPreprocessor{ngst, instrumented, Median3{}, MajorityBit3{}} {
+			src := damagedStack(rng, depth, 16, 8)
+			work := src.Clone()
+			sc := NewVoteScratch()
+			var stats VoteStats
 			pre.ProcessStackPlanes(work, 0, 128, sc, &stats)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: ProcessStackPlanes allocates %.1f objects per pass with a warm scratch, want 0",
-				pre.Name(), allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				for fi := range work.Frames {
+					copy(work.Frames[fi].Pix, src.Frames[fi].Pix)
+				}
+				pre.ProcessStackPlanes(work, 0, 128, sc, &stats)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s depth %d: ProcessStackPlanes allocates %.1f objects per pass with a warm scratch, want 0",
+					pre.Name(), depth, allocs)
+			}
 		}
 	}
 }
@@ -294,46 +306,121 @@ func FuzzPlaneTemporal(f *testing.F) {
 }
 
 // FuzzPlaneStack fuzzes the stack-level plane paths of all three series
-// algorithms against their scalar oracles on byte-derived geometries.
+// algorithms against their scalar oracles on byte-derived geometries. For
+// AlgoNGST it also fuzzes the ablation switches (flags bits 0-3) and,
+// unless flags bit 4 asks for the whole stack, a random sub-range, and
+// compares the pass's VoteStats as well as its pixels.
 func FuzzPlaneStack(f *testing.F) {
-	f.Add(uint8(8), uint8(3), uint8(3), int64(1))
-	f.Add(uint8(64), uint8(2), uint8(2), int64(2))
-	f.Add(uint8(3), uint8(9), uint8(1), int64(3))
-	f.Add(uint8(33), uint8(5), uint8(4), int64(-77))
-	f.Fuzz(func(t *testing.T, depthRaw, wRaw, hRaw uint8, seed int64) {
+	f.Add(uint8(8), uint8(3), uint8(3), uint8(16), int64(1))
+	f.Add(uint8(64), uint8(2), uint8(2), uint8(16), int64(2))
+	f.Add(uint8(3), uint8(9), uint8(1), uint8(0), int64(3))
+	f.Add(uint8(33), uint8(5), uint8(4), uint8(16), int64(-77))
+	f.Add(uint8(13), uint8(12), uint8(5), uint8(0), int64(4))   // depth 16, stride 16
+	f.Add(uint8(26), uint8(7), uint8(3), uint8(1), int64(5))    // depth 29, stride 32
+	f.Add(uint8(9), uint8(13), uint8(5), uint8(0x0e), int64(6)) // depth 12, switches
+	f.Fuzz(func(t *testing.T, depthRaw, wRaw, hRaw, flags uint8, seed int64) {
 		depth := 3 + int(depthRaw)%62
 		w := 1 + int(wRaw)%12
 		h := 1 + int(hRaw)%8
 		rng := rand.New(rand.NewSource(seed))
 		src := damagedStack(rng, depth, w, h)
-		ngst, err := NewAlgoNGST(NGSTConfig{Upsilon: 2 + 2*rng.Intn(4), Sensitivity: 1 + rng.Intn(100)})
+		cfg := NGSTConfig{
+			Upsilon:           2 + 2*rng.Intn(4),
+			Sensitivity:       1 + rng.Intn(100),
+			DisableQuorum:     flags&1 != 0,
+			DisableCarryGuard: flags&2 != 0,
+			LiteralPhi:        flags&4 != 0,
+		}
+		if flags&8 != 0 {
+			cfg.StaticWindows = true
+			cfg.StaticLSB = int(flags>>5) & 7
+			cfg.StaticMSB = cfg.StaticLSB + rng.Intn(17-cfg.StaticLSB)
+		}
+		ngst, err := NewAlgoNGST(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
+		npix := w * h
+		p0, p1 := 0, npix
+		if flags&16 == 0 {
+			p0 = rng.Intn(npix)
+			p1 = p0 + 1 + rng.Intn(npix-p0)
+		}
+		cfg.ScalarOnly = true
+		oracle, err := NewAlgoNGST(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := src.Clone(), src.Clone()
+		var wantStats, gotStats VoteStats
+		oracle.ProcessStackPlanes(want, p0, p1, NewVoteScratch(), &wantStats)
+		ngst.ProcessStackPlanes(got, p0, p1, NewVoteScratch(), &gotStats)
+		stacksEqual(t, ngst.Name(), want, got)
+		if wantStats != gotStats {
+			t.Fatalf("%s %+v range [%d, %d): stats scalar %+v plane %+v", ngst.Name(), cfg, p0, p1, wantStats, gotStats)
+		}
+		for _, pre := range []SeriesPreprocessor{Median3{}, MajorityBit3{}} {
 			want, got := src.Clone(), src.Clone()
-			scalarOracle(pre, want)
-			pre.ProcessStackPlanes(got, 0, w*h, NewVoteScratch(), nil)
+			perSeries(pre, want)
+			pre.ProcessStackPlanes(got, 0, npix, NewVoteScratch(), nil)
 			stacksEqual(t, pre.Name(), want, got)
 		}
 	})
 }
 
-// scalarOracle runs the scalar-path twin of p over the whole stack: for
-// AlgoNGST a ScalarOnly copy (its stack pass is then the per-series scalar
-// loop), for the generic filters their own per-series pass.
-func scalarOracle(p SeriesPreprocessor, s *dataset.Stack) {
-	if a, ok := p.(*AlgoNGST); ok {
-		cfg := a.Config()
-		cfg.ScalarOnly = true
-		o, err := NewAlgoNGST(cfg)
-		if err != nil {
-			panic(err)
+// TestStackPassCountersAndForensics checks the instrumented stack pass at
+// each lane stride and on the scalar path: over two calls on one scratch,
+// the registry counters equal the pass's VoteStats, the window gauge
+// holds its final value, and the forensics log carries the same
+// per-series records, in the same order, as the ScalarOnly oracle's.
+func TestStackPassCountersAndForensics(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	dropTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
 		}
-		o.ProcessStackPlanes(s, 0, s.Width()*s.Height(), NewVoteScratch(), nil)
-		return
+		return a
 	}
-	perSeries(p, s)
+	for _, depth := range []int{8, 16, 24, 64} {
+		src := damagedStack(rng, depth, 13, 5)
+		var logs [2]string
+		for i, scalar := range []bool{true, false} {
+			a, err := NewAlgoNGST(NGSTConfig{Upsilon: 4, Sensitivity: 80, ScalarOnly: scalar})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			a.Instrument(reg)
+			var buf bytes.Buffer
+			a.Forensics(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{ReplaceAttr: dropTime})))
+			s, sc := src.Clone(), NewVoteScratch()
+			var st VoteStats
+			a.ProcessStackPlanes(s, 0, 30, sc, &st)
+			a.ProcessStackPlanes(s, 30, 65, sc, &st)
+			snap := reg.Snapshot()
+			for name, want := range map[string]int{
+				"preprocess_series_total":         st.Series,
+				"preprocess_corrected_total":      st.Corrected,
+				"preprocess_bits_window_a_total":  st.BitsWindowA,
+				"preprocess_bits_window_b_total":  st.BitsWindowB,
+				"preprocess_guard_rejected_total": st.GuardRejected,
+			} {
+				if got := snap.Counters[name]; got != int64(want) {
+					t.Fatalf("depth %d scalar=%v: %s = %d, stats say %d", depth, scalar, name, got, want)
+				}
+			}
+			if got := snap.Gauges["preprocess_window_c_bit"]; got != float64(st.WindowCBit) {
+				t.Fatalf("depth %d scalar=%v: window gauge %v, stats say %d", depth, scalar, got, st.WindowCBit)
+			}
+			if st.Series != 65 || st.Corrected == 0 {
+				t.Fatalf("depth %d scalar=%v: stats %+v, want 65 series and some corrections", depth, scalar, st)
+			}
+			logs[i] = buf.String()
+		}
+		if logs[0] != logs[1] {
+			t.Fatalf("depth %d: forensics records differ\nscalar:\n%s\nplane:\n%s", depth, logs[0], logs[1])
+		}
+	}
 }
 
 // perSeries runs p's ProcessSeries over every coordinate of s.

@@ -37,9 +37,12 @@ type VoteScratch struct {
 
 	// Plane-major kernel workspaces (planes.go).
 
-	// lanes64 is the lane-major staging block the series path transposes
-	// in place.
+	// lanes64 is the staging block the kernel transposes in place: the
+	// series path's 64 lanes, or the stack path's 16 packed words
+	// followed by their untransposed copy.
 	lanes64 [64]uint64
+	// geom holds the kernel's per-geometry constants (planeSetup).
+	geom planeGeom
 	// plane64 is the single backing buffer the plane workspaces below are
 	// carved from (one allocation for the whole kernel).
 	plane64 []uint64
@@ -49,13 +52,14 @@ type VoteScratch struct {
 	hib []uint64
 	// pms holds the per-way prune keep-masks.
 	pms []uint64
-	// cplanes holds the candidate correction planes of one pixel.
+	// cplanes holds the candidate correction planes of one block.
 	cplanes []uint64
-	// planeLSB and planeMSB stash the window masks of the most recent
-	// planeVote for candidate finalization.
-	planeLSB, planeMSB uint32
-	// ps is the 64-pixel plane-major gather window of the stack path.
-	ps *dataset.PlaneStack
+	// planeLSB and planeMSB stash the packed per-group window masks of
+	// the most recent planeVote for candidate finalization.
+	planeLSB, planeMSB uint64
+	// cand is the stack path's per-lane candidate corrections of one
+	// block, all zero between blocks.
+	cand [64]uint32
 	// rser is the series buffer of AlgoNGST's scalar range pass.
 	rser dataset.Series
 	// majA/majB/majC are MajorityBit3's rotating original-frame chunks.
