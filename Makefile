@@ -66,7 +66,9 @@ bench-compare:
 # top of the seeded corpus the normal test run replays: the plane-kernel
 # differential fuzzers, the way-threshold histogram against its sort
 # reference, the integer-exact cosmic-ray integrators against their
-# sort-based float64 reference, the permutation bijectivity fuzzer, the
+# sort-based float64 reference, the bit-plane cosmic-ray kernel
+# (IntegrateRange) against the per-series integrator, the permutation
+# bijectivity fuzzer, the
 # campaign site enumerator, the word-speed Rice encoder against its
 # byte-at-a-time reference, the codec/parser fuzzers, the little-endian
 # pixel codec every port, digest and WAL record shares (decode of
@@ -82,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneStack$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWayThreshold$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIntegrateSeries$$' -fuzztime $(FUZZTIME) ./internal/crreject
+	$(GO) test -run '^$$' -fuzz '^FuzzIntegrateRange$$' -fuzztime $(FUZZTIME) ./internal/crreject
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice

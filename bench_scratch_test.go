@@ -86,14 +86,15 @@ func BenchmarkProcessStack(b *testing.B) {
 // ProcessStackPlanes pass over a 128x128 tile with a warm scratch, at the
 // depths that select each lane stride of the plane kernel: 16 readouts
 // (four pixels per plane word, the serve workloads' depth), 32 (two) and
-// 64 (one). The damaged frames are restored outside the timer before
+// 64 (one), and at 4 and 8, shallow stacks the stride-16 kernel also
+// votes four to a word. The damaged frames are restored outside the timer before
 // every pass; ns/sample divides the pass by the tile's readout count.
 func BenchmarkProcessStackDepth(b *testing.B) {
 	a, err := spaceproc.NewAlgoNGST(spaceproc.DefaultNGSTConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, depth := range []int{16, 32, 64} {
+	for _, depth := range []int{4, 8, 16, 32, 64} {
 		cfg := spaceproc.DefaultSceneConfig()
 		cfg.Width, cfg.Height = 128, 128
 		cfg.Readouts = depth
@@ -171,7 +172,9 @@ func BenchmarkPipelineRun(b *testing.B) {
 // BenchmarkCRIntegrate measures cosmic-ray rejection, the stage after the
 // voter in every worker tile: a 128x128 tile repaired by AlgoNGST, then
 // integrated by Integrate (stationary readouts) or IntegrateRamp (an
-// accumulating ramp) at the serve path's 16 and the paper's 64 readouts.
+// accumulating ramp) at the serve path's 16 and the paper's 64 readouts;
+// Integrate also at 32, the bit-plane kernel's middle lane stride.
+// ns/sample divides a pass by the tile's readout count.
 func BenchmarkCRIntegrate(b *testing.B) {
 	pre, err := spaceproc.NewAlgoNGST(spaceproc.DefaultNGSTConfig())
 	if err != nil {
@@ -185,11 +188,12 @@ func BenchmarkCRIntegrate(b *testing.B) {
 		name      string
 		mode      spaceproc.ReadoutMode
 		integrate func(*spaceproc.Stack) (*spaceproc.Image, spaceproc.CRStats)
+		depths    []int
 	}{
-		{"Integrate", spaceproc.StationaryReadouts, rej.Integrate},
-		{"Ramp", spaceproc.RampReadouts, rej.IntegrateRamp},
+		{"Integrate", spaceproc.StationaryReadouts, rej.Integrate, []int{16, 32, 64}},
+		{"Ramp", spaceproc.RampReadouts, rej.IntegrateRamp, []int{16, 64}},
 	} {
-		for _, readouts := range []int{16, 64} {
+		for _, readouts := range tc.depths {
 			cfg := spaceproc.DefaultSceneConfig()
 			cfg.Mode = tc.mode
 			cfg.Readouts = readouts
@@ -204,6 +208,8 @@ func BenchmarkCRIntegrate(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					tc.integrate(stack)
 				}
+				npix := cfg.Width * cfg.Height
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*npix*readouts), "ns/sample")
 			})
 		}
 	}

@@ -139,6 +139,23 @@ func UntransposeBlock64x32(w *[64]uint64, width int) {
 	}
 }
 
+// GroupCounts returns the population count of each stride-wide field of
+// v (stride 16, 32 or 64), in that field: the per-pixel lane count of a
+// plane word that packs 64/stride pixels.
+func GroupCounts(v uint64, stride int) uint64 {
+	if stride == 64 {
+		return uint64(bits.OnesCount64(v))
+	}
+	v -= v >> 1 & swap1
+	v = v&swap2 + v>>2&swap2
+	v = (v + v>>4) & swap4
+	v = (v + v>>8) & swap8
+	if stride == 32 {
+		v = (v + v>>16) & swap16
+	}
+	return v
+}
+
 // MajorityVote3Words is the two-of-three bitwise majority over 64 lanes at
 // once (the word form of MajorityVote3).
 func MajorityVote3Words(a, b, c uint64) uint64 {

@@ -238,6 +238,64 @@ func TestPoolVoteCountersMatchPreStats(t *testing.T) {
 	}
 }
 
+// reverseWorker delays each tile by its distance from the last index, so
+// a pool with a worker per tile finishes the tiles in reverse order.
+type reverseWorker struct {
+	inner Worker
+	tiles int
+}
+
+func (w reverseWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
+	res, err := w.inner.ProcessTile(ctx, t)
+	time.Sleep(time.Duration(w.tiles-1-t.Index) * 25 * time.Millisecond)
+	return res, err
+}
+
+// TestPoolPreStatsMergeInTileOrder pins Result.PreStats to the tile-index
+// order merge of the per-tile stats, whatever order the tiles finish in:
+// VoteStats.Add keeps the last merged tile's WindowCBit.
+func TestPoolPreStatsMergeInTileOrder(t *testing.T) {
+	sc := testScene(t, 3)
+	injectStack(t, sc.Observed, 0.01, 31)
+	pre, err := core.NewAlgoNGST(core.DefaultNGSTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := dataset.Fragment(sc.Observed, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := localWorkers(t, 1, pre)[0]
+	var want, reversed core.VoteStats
+	per := make([]core.VoteStats, len(tiles))
+	for i, tile := range tiles {
+		res, err := ref.ProcessTile(context.Background(), cloneTile(tile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		per[i] = res.PreStats
+		want.Add(res.PreStats)
+	}
+	for i := len(per) - 1; i >= 0; i-- {
+		reversed.Add(per[i])
+	}
+	if want == reversed {
+		t.Fatalf("premise: merge order must change the stats, both orders give %+v", want)
+	}
+	workers := localWorkers(t, len(tiles), pre)
+	for i, w := range workers {
+		workers[i] = reverseWorker{inner: w, tiles: len(tiles)}
+	}
+	pool := newPool(t, workers, WithPoolTileSize(32))
+	res := <-pool.Submit(context.Background(), sc.Observed)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.PreStats != want {
+		t.Fatalf("PreStats %+v, tile-order merge %+v (reverse-order merge %+v)", res.PreStats, want, reversed)
+	}
+}
+
 func TestMasterReassignsAfterWorkerFailure(t *testing.T) {
 	sc := testScene(t, 5)
 	good := localWorkers(t, 1, nil)

@@ -511,8 +511,16 @@ func (sub *submission) finalize() {
 		Image:   dataset.NewImage(sub.width, sub.height),
 		Retries: int(sub.retried.Load()),
 	}
-	count := 0
+	// Merge in tile order, not completion order: VoteStats.Add keeps the
+	// last merged tile's WindowCBit, so the baseline's value must not
+	// depend on which tile finished last.
+	tiles := make([]TileResult, 0, sub.tiles)
 	for res := range sub.results {
+		tiles = append(tiles, res)
+	}
+	sort.Slice(tiles, func(i, j int) bool { return tiles[i].Index < tiles[j].Index })
+	count := 0
+	for _, res := range tiles {
 		start := time.Now()
 		blit(out.Image, res)
 		if p.tracer != nil {

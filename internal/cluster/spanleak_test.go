@@ -140,13 +140,9 @@ func TestLocalWorkerShardsMatchSequential(t *testing.T) {
 				t.Fatalf("tile %d: sharded image differs at %d", tile.Index, i)
 			}
 		}
-		// WindowCBit is a most-recent gauge, so only the summed counters are
-		// shard-order independent.
-		if a.PreStats.Series != b.PreStats.Series ||
-			a.PreStats.Corrected != b.PreStats.Corrected ||
-			a.PreStats.BitsWindowA != b.PreStats.BitsWindowA ||
-			a.PreStats.BitsWindowB != b.PreStats.BitsWindowB ||
-			a.PreStats.GuardRejected != b.PreStats.GuardRejected {
+		// Shard stats merge in shard order, so even the most-recent
+		// WindowCBit gauge is the sequential pass's.
+		if a.PreStats != b.PreStats {
 			t.Fatalf("tile %d: sharded stats %+v != sequential %+v", tile.Index, b.PreStats, a.PreStats)
 		}
 	}
@@ -235,13 +231,9 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 					}
 				}
 			}
-			// WindowCBit is a most-recent gauge, so only the summed counters
-			// are shard-order independent.
-			if wantStats.Series != gotStats.Series ||
-				wantStats.Corrected != gotStats.Corrected ||
-				wantStats.BitsWindowA != gotStats.BitsWindowA ||
-				wantStats.BitsWindowB != gotStats.BitsWindowB ||
-				wantStats.GuardRejected != gotStats.GuardRejected {
+			// Shard stats merge in shard order, so even the most-recent
+			// WindowCBit gauge is the sequential pass's.
+			if wantStats != gotStats {
 				t.Fatalf("stats scalar %+v sharded-plane %+v", wantStats, gotStats)
 			}
 		})

@@ -26,18 +26,6 @@ func grow64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// laneStride returns the plane kernel's lane stride for n readouts: the
-// smallest of 16, 32 and 64 that holds them.
-func laneStride(n int) int {
-	switch {
-	case n <= 16:
-		return 16
-	case n <= 32:
-		return 32
-	}
-	return 64
-}
-
 // planeGeom holds the plane kernel's per-geometry constants, derived from
 // the series length, Upsilon, Lambda, the phi formula, the lane stride and
 // the payload width. planeSetup computes them once per geometry and
@@ -260,7 +248,7 @@ func wayCutGroups(x, hib []uint64, g *planeGeom, phiHi uint64) (pm, win uint64) 
 	var lo, settled uint64
 	for j := 0; j < width; j++ {
 		gt := hib[j+1] | x[j]&lo
-		now := (phiHi - groupCounts(gt, stride)) >> uint(stride-1) & g.rep1 &^ settled
+		now := (phiHi - bitutil.GroupCounts(gt, stride)) >> uint(stride-1) & g.rep1 &^ settled
 		if now != 0 {
 			pm |= gt & (now * g.groupLanes)
 			win |= now * uint64(bitutil.MaskAtOrAbove(j, width))
@@ -272,19 +260,6 @@ func wayCutGroups(x, hib []uint64, g *planeGeom, phiHi uint64) (pm, win uint64) 
 		lo |= x[j]
 	}
 	return pm, win
-}
-
-// groupCounts returns the population count of each stride-wide field of
-// v (stride 16 or 32), in that field.
-func groupCounts(v uint64, stride int) uint64 {
-	v -= v >> 1 & 0x5555555555555555
-	v = v&0x3333333333333333 + v>>2&0x3333333333333333
-	v = (v + v>>4) & 0x0F0F0F0F0F0F0F0F
-	v = (v + v>>8) & 0x00FF00FF00FF00FF
-	if stride == 32 {
-		v = (v + v>>16) & 0x0000FFFF0000FFFF
-	}
-	return v
 }
 
 // groupWindows unpacks group g's window masks (lsb: bits outside window
@@ -388,18 +363,24 @@ func correctTemporalPlanes(sc *VoteScratch, vals []uint32, upsilon, lambda, widt
 }
 
 // planeWorthIt reports whether the plane-major kernel beats the scalar
-// pass for a series of n values at the given bit width. A one-series
+// pass for one series of n values at the given bit width. A one-series
 // block's cost scales with width (every plane word is touched whether its
 // lanes vote or not) while the scalar kernel's scales with n, so short
 // series lose the transpose bet: measured on the dev machine the
 // crossover sits near n = width/2 (n ~ 9 at width 16, n ~ 14 at width
 // 32), and below it the scalar pass is up to ~2x faster. The upper bound
-// is the 64-lane block. The stack path applies the same cut at width 16
-// although at stride 16 it splits a word's cost over four pixels and
-// measured faster than scalar down to 4 readouts; no workload runs a
-// stack that shallow.
+// is the 64-lane block. The stack path has its own cut (stackOnPlanes).
 func planeWorthIt(n, width int) bool {
 	return 2*n >= width+4 && n <= 64
+}
+
+// stackOnPlanes reports whether the stack pass votes n-readout stacks on
+// the plane kernel: every depth the kernel votes at all (n >= 3) and the
+// 64-lane block holds. Below 17 readouts a stride-16 word splits its cost
+// over four pixels, so even 4- and 8-readout stacks beat the scalar pass
+// (BenchmarkProcessStackDepth/4 and /8).
+func stackOnPlanes(n int) bool {
+	return n >= 3 && n <= 64
 }
 
 // correctTemporalAuto dispatches between the plane-major kernel and the
@@ -414,12 +395,12 @@ func correctTemporalAuto(sc *VoteScratch, vals []uint32, upsilon, lambda, width 
 }
 
 // ProcessStackPlanes implements SeriesPreprocessor: the voter pass over
-// the flattened coordinate range [p0, p1) of s. Depths the 64-lane block
-// cannot hold or the cost model disfavors at the voter's 16-bit width
-// (see planeWorthIt), and a ScalarOnly configuration, take the per-series
-// scalar pass; the rest stream through the plane kernel 64/stride pixels
-// per block (processRangePlanes). An instrumented algorithm stages the
-// pass's counters in the scratch and feeds the registry once per call.
+// the flattened coordinate range [p0, p1) of s. Stacks of 3 to 64
+// readouts stream through the plane kernel 64/stride pixels per block
+// (processRangePlanes; see stackOnPlanes); shallower and deeper stacks,
+// and a ScalarOnly configuration, take the per-series scalar pass. An
+// instrumented algorithm stages the pass's counters in the scratch and
+// feeds the registry once per call.
 func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	p0, p1 = clampRange(s, p0, p1)
 	if a.cfg.Sensitivity == 0 || p0 >= p1 {
@@ -433,7 +414,7 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 		sc.stats = VoteStats{}
 		collect = &sc.stats
 	}
-	if a.cfg.ScalarOnly || !planeWorthIt(s.Len(), 16) {
+	if a.cfg.ScalarOnly || !stackOnPlanes(s.Len()) {
 		a.processRangeScalar(s, p0, p1, sc, collect)
 	} else {
 		a.processRangePlanes(s, p0, p1, sc, collect)
@@ -453,7 +434,7 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 // directly into the frames. collect may be nil.
 func (a *AlgoNGST) processRangePlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, collect *VoteStats) {
 	n := s.Len()
-	stride := laneStride(n)
+	stride := dataset.LaneStride(n)
 	sc.planeSetup(n, a.cfg.Upsilon, a.cfg.Sensitivity, stride, 16, a.cfg.LiteralPhi)
 	half, groupLanes := sc.geom.half, sc.geom.groupLanes
 	if cap(sc.neigh) < a.cfg.Upsilon {
@@ -468,7 +449,7 @@ func (a *AlgoNGST) processRangePlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 	per := 64 / stride
 	for base := p0; base < p1; base += per {
 		groups := min(per, p1-base)
-		gatherPacked(w, frames, base, groups, stride)
+		dataset.GatherPacked(w, frames, base, groups, stride)
 		*raw = *w
 		bitutil.TransposePacked16(w)
 		anyC := planeVote(sc, w[:], groups, opt)
@@ -509,30 +490,6 @@ func (a *AlgoNGST) processRangePlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 				a.logSeries(one)
 			}
 			m &^= lanes
-		}
-	}
-}
-
-// gatherPacked loads the pixels [p, p+groups) of frames into the packed
-// state TransposePacked16 expects for a block at the lane stride: lane
-// g*stride+r (readout r of pixel p+g), written 16m+k, sits in bits
-// [16m, 16m+16) of word k. At stride 16 word r of a full block is the four
-// pixels of frame r read as one little-endian word. Lanes of missing
-// readouts and pixels are zero. It reads only pixels inside the range.
-func gatherPacked(w *[16]uint64, frames []*dataset.Image, p, groups, stride int) {
-	if stride == 16 && groups == 4 {
-		for r, f := range frames {
-			px := f.Pix[p : p+4 : p+4]
-			w[r] = uint64(px[0]) | uint64(px[1])<<16 | uint64(px[2])<<32 | uint64(px[3])<<48
-		}
-		clear(w[len(frames):])
-		return
-	}
-	clear(w[:])
-	for r, f := range frames {
-		for g := 0; g < groups; g++ {
-			l := g*stride + r
-			w[l&15] |= uint64(f.Pix[p+g]) << uint(l&^15)
 		}
 	}
 }

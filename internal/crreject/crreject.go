@@ -8,9 +8,11 @@
 // readouts, so it appears as a step in the temporal series of the struck
 // coordinate. The rejector detects steps against a robust (MAD-based)
 // estimate of the readout noise, removes them, and integrates the repaired
-// series. The estimate's two medians are int32 selections over the
-// integer readout differences, exact to the bit (see madSigma), and
-// IntegrateRange lets a worker integrate a tile range by range.
+// series. The estimate's two medians are taken over the integer readout
+// differences, exact to the bit (see madSigma): for stacks of 2 to 64
+// readouts as radix selects on bit planes, four pixels to a word at up to
+// 16 readouts (planes.go), otherwise as int32 selections. IntegrateRange
+// lets a worker integrate a tile range by range.
 package crreject
 
 import (
@@ -104,7 +106,7 @@ type seriesFunc func(*Rejector, dataset.Series, *Scratch) (uint16, int)
 func (r *Rejector) Integrate(s *dataset.Stack) (*dataset.Image, Stats) {
 	out := dataset.NewImage(s.Width(), s.Height())
 	var stats Stats
-	r.integrateRange(s, 0, len(out.Pix), out, new(Scratch), &stats, (*Rejector).integrateSeries)
+	r.IntegrateRange(s, 0, len(out.Pix), out, new(Scratch), &stats)
 	return out, stats
 }
 
@@ -113,8 +115,14 @@ func (r *Rejector) Integrate(s *dataset.Stack) (*dataset.Image, Stats) {
 // dimensions, and adds the range's statistics to stats. It reads and
 // writes only pixels inside the range, so disjoint ranges of one stack
 // run concurrently, each with its own Scratch and Stats, and the ranges'
-// stats add up to Integrate's.
+// stats add up to Integrate's. Stacks of 2 to 64 readouts run on the
+// bit-plane kernel (integratePlanes) and allocate nothing; a single
+// readout and deeper stacks take the per-series pass.
 func (r *Rejector) IntegrateRange(s *dataset.Stack, p0, p1 int, out *dataset.Image, sc *Scratch, stats *Stats) {
+	if n := s.Len(); n >= 2 && n <= 64 {
+		r.integratePlanes(s, p0, p1, out, stats)
+		return
+	}
 	r.integrateRange(s, p0, p1, out, sc, stats, (*Rejector).integrateSeries)
 }
 
@@ -159,10 +167,7 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *Scratch) (uint16, int
 	}
 	diffs := sc.readoutDiffs(ser)
 	sigma, _ := madSigma(diffs, sc.sel)
-	if sigma < r.cfg.SigmaFloor {
-		sigma = r.cfg.SigmaFloor
-	}
-	limit := r.cfg.Threshold * sigma
+	limit := r.stepLimit(sigma)
 	// Remove steps: subtract each detected jump from all later readouts.
 	// That leaves every later difference as it was, so a difference is a
 	// step exactly when its raw value exceeds the limit, and each
@@ -180,6 +185,12 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *Scratch) (uint16, int
 		}
 		sum += v
 	}
+	return meanValue(sum, n), steps
+}
+
+// meanValue returns the integrated pixel of n readouts summing to sum:
+// their mean, clamped to the pixel range and rounded half up.
+func meanValue(sum int64, n int) uint16 {
 	mean := float64(sum) / float64(n)
 	if mean < 0 {
 		mean = 0
@@ -187,7 +198,32 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *Scratch) (uint16, int
 	if mean > 0xFFFF {
 		mean = 0xFFFF
 	}
-	return uint16(mean + 0.5), steps
+	return uint16(mean + 0.5)
+}
+
+// stepLimit returns the step-detection level for a robust noise estimate
+// sigma: Threshold sigmas, with sigma raised to the floor.
+func (r *Rejector) stepLimit(sigma float64) float64 {
+	if sigma < r.cfg.SigmaFloor {
+		sigma = r.cfg.SigmaFloor
+	}
+	return r.cfg.Threshold * sigma
+}
+
+// stepBound returns the smallest difference magnitude the step test
+// flags in a series whose doubled deviations have twice-median mad4 (four
+// times the MAD), and false when it flags none. A difference is an
+// integer, so |d| > limit exactly when |d| >= floor(limit)+1; a NaN
+// limit, or one at or above the largest magnitude 65535, flags nothing.
+func (r *Rejector) stepBound(mad4 uint32) (uint32, bool) {
+	limit := r.stepLimit(madToSigma(int32(mad4)))
+	switch {
+	case !(limit < 0xFFFF):
+		return 0, false
+	case limit < 0:
+		return 0, true
+	}
+	return uint32(limit) + 1, true
 }
 
 // IntegrateRamp collapses an up-the-ramp baseline (non-destructive
@@ -215,10 +251,7 @@ func (r *Rejector) integrateRampSeries(ser dataset.Series, sc *Scratch) (uint16,
 	}
 	diffs := sc.readoutDiffs(ser)
 	sigma, med2 := madSigma(diffs, sc.sel)
-	if sigma < r.cfg.SigmaFloor {
-		sigma = r.cfg.SigmaFloor
-	}
-	limit := r.cfg.Threshold * sigma
+	limit := r.stepLimit(sigma)
 	var sum int64
 	var kept, steps int
 	for _, d := range diffs {
@@ -272,7 +305,13 @@ func madSigma(d, buf []int32) (sigma float64, med2 int32) {
 	for i, v := range d {
 		buf[i] = abs32(2*v - med2)
 	}
-	return 1.4826 * (float64(twiceMedian(buf)) / 4), med2
+	return madToSigma(twiceMedian(buf)), med2
+}
+
+// madToSigma converts four times the MAD into the sigma estimate
+// 1.4826 * MAD.
+func madToSigma(mad4 int32) float64 {
+	return 1.4826 * (float64(mad4) / 4)
 }
 
 // twiceMedian returns twice the median of v, the sum of its two middle

@@ -1,8 +1,10 @@
 // Package orderstat holds the selection routine the robust noise
 // estimates share: the OTIS trend guard's median absolute deviation and
-// the cosmic-ray rejector's median and MAD of readout differences. Both
-// need one order statistic of a short, freshly filled buffer, so a
-// selection in expected linear time replaces a full sort.
+// the per-series cosmic-ray integrators' median and MAD of readout
+// differences (IntegrateRamp, and Integrate on one readout or more than
+// 64; Integrate's bit-plane kernel selects on planes instead). Each needs
+// one order statistic of a short, freshly filled buffer, so a selection
+// in expected linear time replaces a full sort.
 package orderstat
 
 import (
