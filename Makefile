@@ -6,9 +6,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: check vet staticcheck build test race perfbench bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash loc
+.PHONY: check vet staticcheck build test race fanout perfbench bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash loc
 
-check: vet staticcheck build race perfbench
+check: vet staticcheck build race fanout perfbench
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fanout reruns the OTIS bit-identity gates (the AlgoOTIS, retrieval and
+# Rice digests), the band and row fan-out differential tests, the float
+# coder's reference seeds and its allocation pin at GOMAXPROCS 1 and 4, so
+# both the sequential loops and the fan-outs meet the pinned digests
+# whatever the runner's core count. -cpu only sets the number of Ps; it
+# starts no extra threads.
+FANOUT_TESTS = TestAlgoOTISGolden|TestSpatialFanOutMatchesSequential|TestRetrievalGolden|TestRowFanOutMatchesSequential|TestRiceEncodeGolden|FuzzEncodeFloat32MatchesReference|TestEncodeAllocs
+fanout:
+	$(GO) test -count=1 -cpu 1,4 -run '^($(FANOUT_TESTS))$$' ./internal/core ./internal/otisapp ./internal/rice
 
 # perfbench is its own Go module (see perfbench/README.md), so the root
 # `./...` patterns never compile it; vet and short-test it against the
@@ -70,7 +80,8 @@ bench-compare:
 # (IntegrateRange) against the per-series integrator, the permutation
 # bijectivity fuzzer, the
 # campaign site enumerator, the word-speed Rice encoder against its
-# byte-at-a-time reference, the codec/parser fuzzers, the little-endian
+# byte-at-a-time reference, the float coder (two half streams coded
+# concurrently) against its two-pass reference, the codec/parser fuzzers, the little-endian
 # pixel codec every port, digest and WAL record shares (decode of
 # arbitrary bytes, round trip, zero-copy view against the portable
 # conversion), the budgeted gob receive both network ports read through
@@ -90,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/rice
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeFloat32MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzPixels$$' -fuzztime $(FUZZTIME) ./internal/dataset

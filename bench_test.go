@@ -349,6 +349,67 @@ func BenchmarkOTISLocality(b *testing.B) {
 	}
 }
 
+// BenchmarkOTISCube measures the three stages of perfbench's otis-cube op
+// on its input, a 256x256x8 Stripe cube at Gamma0 = 0.01: the spatial
+// AlgoOTIS at L = 80 with a warm CubeScratch (Vote), the temperature and
+// emissivity retrieval of the voted cube (Retrieve), and the Rice coding
+// of the retrieved emissivity cube (EncodeF32). ns/sample divides a pass
+// by the cube's samples. Each stage fans out over GOMAXPROCS, so -cpu 1
+// times the sequential loops.
+func BenchmarkOTISCube(b *testing.B) {
+	cfg := spaceproc.DefaultOTISSceneConfig(spaceproc.Stripe)
+	cfg.Width, cfg.Height = 256, 256
+	scene, err := spaceproc.NewOTISScene(cfg, spaceproc.NewRNG(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	damaged := scene.Cube.Clone()
+	spaceproc.Uncorrelated{Gamma0: 0.01}.InjectCube(damaged, spaceproc.NewRNG(7))
+	algo, err := spaceproc.NewAlgoOTIS(spaceproc.DefaultOTISConfig(scene.Wavelengths))
+	if err != nil {
+		b.Fatal(err)
+	}
+	retr, err := spaceproc.NewOTISRetriever(spaceproc.DefaultOTISRetrievalConfig(scene.Wavelengths))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := spaceproc.NewCubeScratch()
+	voted := damaged.Clone()
+	algo.ProcessCubeScratch(voted, sc, nil)
+	out, err := retr.Process(voted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perSample := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(damaged.Data)), "ns/sample")
+	}
+	b.Run("Vote", func(b *testing.B) {
+		work := damaged.Clone()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(work.Data, damaged.Data)
+			algo.ProcessCubeScratch(work, sc, nil)
+		}
+		perSample(b)
+	})
+	b.Run("Retrieve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := retr.Process(voted); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perSample(b)
+	})
+	b.Run("EncodeF32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if enc := spaceproc.RiceEncodeFloat32(out.Emissivity.Data); len(enc) == 0 {
+				b.Fatal("empty encoding")
+			}
+		}
+		perSample(b)
+	})
+}
+
 // BenchmarkFITSDataSum measures checksum generation over one tile HDU.
 func BenchmarkFITSDataSum(b *testing.B) {
 	im := spaceproc.NewImage(128, 128)

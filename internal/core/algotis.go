@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"spaceproc/internal/bitutil"
 	"spaceproc/internal/dataset"
@@ -55,9 +58,9 @@ func (l OTISLocality) String() string {
 type OTISConfig struct {
 	// Sensitivity is Lambda in [0, 100], as for AlgoNGST.
 	Sensitivity int
-	// Wavelengths are the cube's band wavelengths in meters, used for the
-	// Section 7.2 absolute physical bounds. If nil, bounds checking is
-	// limited to finiteness and non-negativity.
+	// Wavelengths are the cube's band wavelengths in meters, positive and
+	// finite, used for the Section 7.2 absolute physical bounds. If nil,
+	// bounds checking is limited to finiteness and non-negativity.
 	Wavelengths []float64
 	// TrendGuard enables the Section 7.2 rule (1): a deviant pixel whose
 	// neighborhood trends the same direction is a natural anomaly
@@ -88,8 +91,8 @@ func (c OTISConfig) Validate() error {
 		return fmt.Errorf("core: unknown locality %d", int(c.Locality))
 	}
 	for i, w := range c.Wavelengths {
-		if w <= 0 {
-			return fmt.Errorf("core: wavelength %d is non-positive", i)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: wavelength %d is %v, want positive and finite", i, w)
 		}
 	}
 	return nil
@@ -181,8 +184,11 @@ func (s *CubeStats) Add(other CubeStats) {
 // CubeScratch holds the buffers of one cube preprocessing pass, reused
 // across every band plane (and across cubes, when the caller keeps it
 // warm): the bit-pattern views, XOR way sets, deviation map and the
-// temporal voter scratch of the spectral path. Not safe for concurrent
-// use; the zero value is ready.
+// temporal voter scratch of the spectral path. The spatial pass votes
+// bands on several goroutines, each in its own lane: the scratch's own
+// buffers are lane 0, and lanes holds the others, grown on first use. A
+// CubeScratch is not safe for concurrent use: give each concurrent
+// ProcessCubeScratch call its own. The zero value is ready.
 type CubeScratch struct {
 	// bits and out are the plane's IEEE-754 bit patterns (input and
 	// voted output).
@@ -196,6 +202,8 @@ type CubeScratch struct {
 	devs, absBuf []float64
 	// vote is the temporal voter scratch of the spectral-locality path.
 	vote VoteScratch
+	// lanes are the spatial pass's band lanes beyond lane 0.
+	lanes []CubeScratch
 }
 
 // NewCubeScratch returns an empty scratch, for callers outside the
@@ -212,7 +220,10 @@ func (a *AlgoOTIS) ProcessCube(c *dataset.Cube) {
 // ProcessCubeScratch is ProcessCube against caller-owned scratch, with
 // observability. sc may be nil (a fresh scratch is used); stats, when
 // non-nil, accumulates the pass's counters. The caller owns stats,
-// keeping the algorithm value safe for concurrent use.
+// keeping the algorithm value safe for concurrent use. The spatial pass
+// votes the cube's bands on up to GOMAXPROCS goroutines, one scratch lane
+// each, with the output bits and counters of a band-by-band pass; at
+// GOMAXPROCS 1 it is that pass.
 func (a *AlgoOTIS) ProcessCubeScratch(c *dataset.Cube, sc *CubeScratch, stats *CubeStats) {
 	if sc == nil {
 		sc = new(CubeScratch)
@@ -222,7 +233,7 @@ func (a *AlgoOTIS) ProcessCubeScratch(c *dataset.Cube, sc *CubeScratch, stats *C
 	if a.tel != nil || a.log != nil {
 		collect = &local
 	}
-	a.processCubeStats(c, sc, collect)
+	a.processCubeStats(c, sc, collect, runtime.GOMAXPROCS(0))
 	if collect == &local {
 		if a.tel != nil {
 			a.tel.add(local)
@@ -241,20 +252,67 @@ func (a *AlgoOTIS) ProcessCubeScratch(c *dataset.Cube, sc *CubeScratch, stats *C
 	}
 }
 
-func (a *AlgoOTIS) processCubeStats(c *dataset.Cube, sc *CubeScratch, stats *CubeStats) {
-	for b := 0; b < c.Bands; b++ {
-		lo, hi := a.bandBounds(b)
-		plane := c.Band(b)
-		n := repairOutOfBounds(plane, c.Width, c.Height, lo, hi)
-		if stats != nil {
-			stats.BoundsRepairs += n
+// processCubeStats repairs c in place. On the spatial path each band
+// plane's bounds repair and vote read and write only that plane, so bands
+// are handed to min(workers, Bands) goroutines through an atomic counter,
+// each with its own lane of sc, and the per-band stats merge in band order
+// after the join: the output and the counters are those of the sequential
+// band loop that one worker runs. The spectral path votes across bands and
+// stays sequential.
+func (a *AlgoOTIS) processCubeStats(c *dataset.Cube, sc *CubeScratch, stats *CubeStats, workers int) {
+	workers = min(workers, c.Bands)
+	if workers <= 1 || a.cfg.Locality == SpectralLocality {
+		for b := 0; b < c.Bands; b++ {
+			a.processBand(c, b, sc, stats)
 		}
-		if a.cfg.Sensitivity > 0 && a.cfg.Locality == SpatialLocality {
-			a.votePlane(plane, c.Width, c.Height, lo, hi, sc, stats)
+		if a.cfg.Locality == SpectralLocality && a.cfg.Sensitivity > 0 {
+			a.voteSpectral(c, sc)
+		}
+		return
+	}
+	if n := workers - 1 - len(sc.lanes); n > 0 {
+		sc.lanes = append(sc.lanes, make([]CubeScratch, n)...)
+	}
+	var bandStats []CubeStats
+	if stats != nil {
+		bandStats = make([]CubeStats, c.Bands)
+	}
+	var next atomic.Int64
+	run := func(lane *CubeScratch) {
+		for b := int(next.Add(1) - 1); b < c.Bands; b = int(next.Add(1) - 1) {
+			var st *CubeStats
+			if bandStats != nil {
+				st = &bandStats[b]
+			}
+			a.processBand(c, b, lane, st)
 		}
 	}
-	if a.cfg.Sensitivity > 0 && a.cfg.Locality == SpectralLocality {
-		a.voteSpectral(c, sc)
+	var wg sync.WaitGroup
+	for i := range workers - 1 {
+		wg.Add(1)
+		go func(lane *CubeScratch) {
+			defer wg.Done()
+			run(lane)
+		}(&sc.lanes[i])
+	}
+	run(sc)
+	wg.Wait()
+	for _, st := range bandStats {
+		stats.Add(st)
+	}
+}
+
+// processBand repairs band b's out-of-bounds samples and, on the spatial
+// path, votes the band plane.
+func (a *AlgoOTIS) processBand(c *dataset.Cube, b int, sc *CubeScratch, stats *CubeStats) {
+	lo, hi := a.bandBounds(b)
+	plane := c.Band(b)
+	n := repairOutOfBounds(plane, c.Width, c.Height, lo, hi)
+	if stats != nil {
+		stats.BoundsRepairs += n
+	}
+	if a.cfg.Sensitivity > 0 && a.cfg.Locality == SpatialLocality {
+		a.votePlane(plane, c.Width, c.Height, lo, hi, sc, stats)
 	}
 }
 

@@ -42,6 +42,19 @@ func TestOTISConfigValidate(t *testing.T) {
 	}
 }
 
+// TestOTISConfigRejectsNonFiniteWavelengths guards the NaN-safe wavelength
+// check: a NaN or +Inf wavelength gives its band a NaN upper bound, which
+// every sample fails, so the bounds repair would replace the whole band.
+func TestOTISConfigRejectsNonFiniteWavelengths(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		waves := physics.ThermalBands(8)
+		waves[3] = w
+		if _, err := NewAlgoOTIS(DefaultOTISConfig(waves)); err == nil {
+			t.Errorf("wavelength %v accepted", w)
+		}
+	}
+}
+
 func TestAlgoOTISName(t *testing.T) {
 	a := newOTIS(t, OTISConfig{Sensitivity: 70})
 	if a.Name() != "Algo_OTIS(L=70)" {

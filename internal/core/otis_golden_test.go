@@ -95,3 +95,48 @@ func TestAlgoOTISGolden(t *testing.T) {
 		t.Fatalf("AlgoOTIS digest over %d runs = %#x, want %#x", runs, got, uint64(otisGoldenDigest))
 	}
 }
+
+// TestSpatialFanOutMatchesSequential runs the spatial pass with 1 to 9
+// band workers over the golden cubes plus 1-band, 3-band and one-row
+// cubes, and requires the output bits and CubeStats of the one-worker
+// band loop. Each worker count keeps one warm scratch across every cube,
+// so lanes sized for one geometry are reused for the next.
+func TestSpatialFanOutMatchesSequential(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	cubes := append(goldenCubes(t),
+		damagedCube(r, 20, 16, 1), damagedCube(r, 9, 7, 3), damagedCube(r, 17, 1, 5), damagedCube(r, 1, 12, 9))
+	scratch := make([]CubeScratch, 10)
+	for ci, src := range cubes {
+		waves := physics.ThermalBands(src.Bands)
+		for _, cfg := range []OTISConfig{
+			{Sensitivity: 80, Wavelengths: waves, TrendGuard: true},
+			{Sensitivity: 50},
+			{Sensitivity: 0, Wavelengths: waves},
+		} {
+			a := newOTIS(t, cfg)
+			want := src.Clone()
+			var wantStats CubeStats
+			a.processCubeStats(want, &scratch[0], &wantStats, 1)
+			for workers := 1; workers <= 9; workers++ {
+				for _, count := range []bool{true, false} {
+					got := src.Clone()
+					var st CubeStats
+					stats := &st
+					if !count {
+						stats = nil
+					}
+					a.processCubeStats(got, &scratch[workers], stats, workers)
+					for i, v := range got.Data {
+						if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("cube %d %+v, %d workers: sample %d = %#x, one worker gives %#x",
+								ci, cfg, workers, i, math.Float32bits(v), math.Float32bits(want.Data[i]))
+						}
+					}
+					if count && st != wantStats {
+						t.Fatalf("cube %d %+v, %d workers: stats %+v, one worker gives %+v", ci, cfg, workers, st, wantStats)
+					}
+				}
+			}
+		}
+	}
+}

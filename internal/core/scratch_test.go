@@ -178,6 +178,29 @@ func TestCubeScratchMatchesAllocatingPath(t *testing.T) {
 	}
 }
 
+// TestProcessCubeScratchZeroAlloc pins the sequential cube pass, which
+// testing.AllocsPerRun's GOMAXPROCS 1 selects, at zero heap allocations
+// with a warm scratch, with and without a stats collector. The band
+// fan-out's closures must not drag the pass's own stats onto the heap.
+func TestProcessCubeScratchZeroAlloc(t *testing.T) {
+	src := damagedCube(rand.New(rand.NewSource(4)), 40, 24, 8)
+	for _, loc := range []OTISLocality{SpatialLocality, SpectralLocality} {
+		a := newOTIS(t, OTISConfig{Sensitivity: 80, TrendGuard: true, Locality: loc})
+		c, sc := src.Clone(), NewCubeScratch()
+		var stats CubeStats
+		a.ProcessCubeScratch(c, sc, &stats)
+		for _, st := range []*CubeStats{&stats, nil} {
+			allocs := testing.AllocsPerRun(20, func() {
+				copy(c.Data, src.Data)
+				a.ProcessCubeScratch(c, sc, st)
+			})
+			if allocs != 0 {
+				t.Errorf("%v, stats %v: %.1f allocations per cube with a warm scratch, want 0", loc, st != nil, allocs)
+			}
+		}
+	}
+}
+
 // TestVoteStatsAddZeroMerge is the WindowCBit regression test: merging the
 // zero-value stats of a tile that ran without preprocessing must not
 // clobber the aggregate's window boundary, which is exactly the mixed-tile

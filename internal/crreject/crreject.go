@@ -38,13 +38,15 @@ func DefaultConfig() Config {
 	return Config{Threshold: 5, SigmaFloor: 2}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. The checks are
+// written so that NaN fails them; +Inf is legal for both fields and turns
+// step removal off.
 func (c Config) Validate() error {
-	if c.Threshold <= 0 {
+	if !(c.Threshold > 0) {
 		return fmt.Errorf("crreject: threshold must be positive, got %v", c.Threshold)
 	}
-	if c.SigmaFloor < 0 {
-		return fmt.Errorf("crreject: negative sigma floor %v", c.SigmaFloor)
+	if !(c.SigmaFloor >= 0) {
+		return fmt.Errorf("crreject: sigma floor must be non-negative, got %v", c.SigmaFloor)
 	}
 	return nil
 }

@@ -22,6 +22,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNaN guards the NaN-safe checks: a NaN threshold or
+// floor makes every step limit NaN, so a Rejector built from one would
+// silently remove no steps. +Inf stays legal and disables step removal.
+func TestConfigRejectsNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []Config{{Threshold: nan, SigmaFloor: 2}, {Threshold: 5, SigmaFloor: nan}, {Threshold: -inf, SigmaFloor: 2}} {
+		if _, err := New(c); err == nil {
+			t.Errorf("New(%+v) succeeded, want an error", c)
+		}
+	}
+	for _, c := range []Config{{Threshold: inf, SigmaFloor: 2}, {Threshold: 5, SigmaFloor: inf}} {
+		if _, err := New(c); err != nil {
+			t.Errorf("New(%+v): %v", c, err)
+		}
+	}
+}
+
 func TestIntegrateCleanStack(t *testing.T) {
 	// Without CRs, integration is just the temporal mean.
 	st := dataset.NewStack(8, 4, 4)

@@ -12,11 +12,17 @@
 // inherent averaging or multiple imaging as in NGST, the correlation
 // between precision at output and input is much higher" — the property the
 // paper's OTIS experiments rest on.
+//
+// Every pixel's retrieval reads only that pixel's samples, so Process
+// splits the rows across GOMAXPROCS goroutines; the output bits do not
+// depend on the split.
 package otisapp
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"spaceproc/internal/dataset"
 	"spaceproc/internal/physics"
@@ -24,8 +30,8 @@ import (
 
 // Config parameterizes the retrieval.
 type Config struct {
-	// Wavelengths are the cube's band centers in meters; the length must
-	// equal the cube's band count.
+	// Wavelengths are the cube's band centers in meters, positive and
+	// finite; the length must equal the cube's band count.
 	Wavelengths []float64
 	// AssumedEmissivity is the emissivity used for the temperature
 	// estimate, in (0, 1].
@@ -44,11 +50,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("otisapp: no wavelengths")
 	}
 	for i, w := range c.Wavelengths {
-		if w <= 0 {
-			return fmt.Errorf("otisapp: wavelength %d non-positive", i)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("otisapp: wavelength %d is %v, want positive and finite", i, w)
 		}
 	}
-	if c.AssumedEmissivity <= 0 || c.AssumedEmissivity > 1 {
+	if !(c.AssumedEmissivity > 0 && c.AssumedEmissivity <= 1) {
 		return fmt.Errorf("otisapp: assumed emissivity %v outside (0,1]", c.AssumedEmissivity)
 	}
 	return nil
@@ -77,18 +83,48 @@ func New(cfg Config) (*Retriever, error) {
 
 // Process retrieves temperature and emissivity from the cube. It returns
 // an error if the cube's band count does not match the configured
-// wavelengths.
+// wavelengths. Every pixel is retrieved independently, so Process splits
+// the rows into contiguous ranges, one per goroutine up to GOMAXPROCS, all
+// writing into the one Output; each pixel gets the bits a sequential pass
+// gives it, and at GOMAXPROCS 1 Process is that pass.
 func (r *Retriever) Process(c *dataset.Cube) (*Output, error) {
+	return r.process(c, runtime.GOMAXPROCS(0))
+}
+
+// process is Process with the rows split into min(workers, Height)
+// ranges.
+func (r *Retriever) process(c *dataset.Cube, workers int) (*Output, error) {
 	if c.Bands != len(r.cfg.Wavelengths) {
 		return nil, fmt.Errorf("otisapp: cube has %d bands, config has %d wavelengths",
 			c.Bands, len(r.cfg.Wavelengths))
 	}
-	plane := c.Width * c.Height
 	out := &Output{
-		Temps:      make([]float64, plane),
+		Temps:      make([]float64, c.Width*c.Height),
 		Emissivity: dataset.NewCube(c.Width, c.Height, c.Bands),
 	}
-	for i := 0; i < plane; i++ {
+	workers = min(workers, c.Height)
+	if workers <= 1 {
+		r.retrieve(c, out, 0, len(out.Temps))
+		return out, nil
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < workers; i++ {
+		y0, y1 := i*c.Height/workers, (i+1)*c.Height/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.retrieve(c, out, y0*c.Width, y1*c.Width)
+		}()
+	}
+	r.retrieve(c, out, 0, c.Height/workers*c.Width)
+	wg.Wait()
+	return out, nil
+}
+
+// retrieve fills out's temperatures and emissivities for the pixels
+// [p0, p1) of c.
+func (r *Retriever) retrieve(c *dataset.Cube, out *Output, p0, p1 int) {
+	for i := p0; i < p1; i++ {
 		var sum float64
 		var n int
 		for b, lambda := range r.cfg.Wavelengths {
@@ -117,7 +153,6 @@ func (r *Retriever) Process(c *dataset.Cube) (*Output, error) {
 			out.Emissivity.Band(b)[i] = float32(eps)
 		}
 	}
-	return out, nil
 }
 
 // TempError returns the mean absolute temperature error in Kelvin between

@@ -30,6 +30,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite guards the NaN-safe checks: a NaN or infinite
+// wavelength, or a NaN assumed emissivity, would make temperatures NaN.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range []float64{nan, inf, -inf} {
+		if _, err := New(Config{Wavelengths: []float64{1e-5, w}, AssumedEmissivity: 0.96}); err == nil {
+			t.Errorf("wavelength %v accepted", w)
+		}
+	}
+	for _, eps := range []float64{nan, inf, -inf} {
+		if _, err := New(Config{Wavelengths: []float64{1e-5}, AssumedEmissivity: eps}); err == nil {
+			t.Errorf("assumed emissivity %v accepted", eps)
+		}
+	}
+}
+
 func TestProcessBandMismatch(t *testing.T) {
 	r, err := New(DefaultConfig(physics.ThermalBands(4)))
 	if err != nil {

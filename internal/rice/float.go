@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Float32 support for OTIS radiance cubes. IEEE-754 words do not delta-map
@@ -16,17 +18,36 @@ import (
 
 // EncodeFloat32 compresses an IEEE-754 float32 sample stream: a 4-byte
 // length of the high-half encoding, that encoding, then the low halves'.
+// Each half is read straight from the float words, a block at a time. The
+// two streams are independent and each ends on a byte boundary, so with
+// more than one P the low halves are coded on a second goroutine into the
+// tail of the one output buffer while the caller codes the high halves;
+// the low stream is then copied down behind the high one, giving the
+// bytes a sequential pass writes in place.
 func EncodeFloat32(samples []float32) []byte {
-	half := make([]uint16, len(samples))
-	for i, v := range samples {
-		half[i] = uint16(math.Float32bits(v) >> 16)
+	m := MaxEncodedLen(len(samples))
+	out := make([]byte, 4, 4+2*m)
+	if runtime.GOMAXPROCS(0) == 1 {
+		out = appendEncode(out, nil, samples, 16)
+		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+		return appendEncode(out, nil, samples, 0)
 	}
-	out := appendEncode(make([]byte, 4, 4+2*MaxEncodedLen(len(samples))), half)
-	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-	for i, v := range samples {
-		half[i] = uint16(math.Float32bits(v))
+	tail := out[4+m : 4+m : 4+2*m]
+	var low struct {
+		sync.WaitGroup
+		n int // the low stream's length
 	}
-	return appendEncode(out, half)
+	low.Add(1)
+	go func() {
+		defer low.Done()
+		low.n = len(appendEncode(tail, nil, samples, 0))
+	}()
+	hi := appendEncode(out[4:4:4+m], nil, samples, 16)
+	low.Wait()
+	binary.BigEndian.PutUint32(out, uint32(len(hi)))
+	end := 4 + len(hi) + low.n
+	copy(out[4+len(hi):end], tail[:low.n])
+	return out[:end]
 }
 
 // DecodeFloat32 reverses EncodeFloat32.

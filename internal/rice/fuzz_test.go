@@ -3,6 +3,7 @@ package rice
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"spaceproc/internal/rng"
@@ -174,6 +175,62 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		for _, s := range [][]uint16{samples, walk} {
 			if got, want := Encode(s), refEncode(s); !bytes.Equal(got, want) {
 				t.Fatalf("%d samples: Encode = %x, reference = %x", len(s), got, want)
+			}
+		}
+	})
+}
+
+// refEncodeFloat32 is the two-pass float coder EncodeFloat32 must
+// reproduce byte for byte: one half-word slice, filled with the high
+// halves and then the low halves, each coded by refEncode.
+func refEncodeFloat32(samples []float32) []byte {
+	half := make([]uint16, len(samples))
+	for i, v := range samples {
+		half[i] = uint16(math.Float32bits(v) >> 16)
+	}
+	hi := refEncode(half)
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(hi)))
+	out = append(out, hi...)
+	for i, v := range samples {
+		half[i] = uint16(math.Float32bits(v))
+	}
+	return append(out, refEncode(half)...)
+}
+
+// FuzzEncodeFloat32MatchesReference asserts EncodeFloat32 emits the
+// two-pass reference's bytes. raw is read three ways: as little-endian
+// float words, which are mostly incompressible; as the steps of a smooth
+// radiance-like walk, whose high halves compress hard; and as the float
+// words with alternating runs of run+1 special values (NaN payloads,
+// infinities, signed zeros, subnormals). Its length need not be a
+// multiple of four or of BlockSize.
+func FuzzEncodeFloat32MatchesReference(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), []byte{0x12, 0x34, 0x56, 0x78, 0x9a})
+	f.Add(uint8(31), bytes.Repeat([]byte{0x00, 0x00, 0x80, 0x7f}, 33))
+	f.Add(uint8(7), bytes.Repeat([]byte{0x01, 0xc0, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80}, 300))
+	specials := []float32{
+		float32(math.NaN()), math.Float32frombits(0x7fc00001), math.Float32frombits(0xffffffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0, math.Float32frombits(1 << 31),
+		math.SmallestNonzeroFloat32, -math.MaxFloat32,
+	}
+	f.Fuzz(func(t *testing.T, run uint8, raw []byte) {
+		words := make([]float32, len(raw)/4)
+		walk := make([]float32, len(words))
+		special := make([]float32, len(words))
+		cur := float32(8)
+		for i := range words {
+			words[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			cur += float32(int8(raw[4*i])) * 1e-4
+			walk[i] = cur
+			special[i] = words[i]
+			if (i/(int(run)+1))%2 == 0 {
+				special[i] = specials[int(raw[4*i+1])%len(specials)]
+			}
+		}
+		for _, s := range [][]float32{words, walk, special} {
+			if got, want := EncodeFloat32(s), refEncodeFloat32(s); !bytes.Equal(got, want) {
+				t.Fatalf("%d samples: EncodeFloat32 = %x, reference = %x", len(s), got, want)
 			}
 		}
 	})

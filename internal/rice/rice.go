@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -47,7 +48,7 @@ var (
 // Encode compresses samples. The output is self-describing: a header with
 // the sample count followed by the coded blocks.
 func Encode(samples []uint16) []byte {
-	return appendEncode(make([]byte, 0, MaxEncodedLen(len(samples))), samples)
+	return appendEncode(make([]byte, 0, MaxEncodedLen(len(samples))), samples, nil, 0)
 }
 
 // MaxEncodedLen returns the longest encoding of n samples: the 4-byte
@@ -58,14 +59,30 @@ func MaxEncodedLen(n int) int {
 	return 4 + (5*blocks+16*n+7)/8
 }
 
-// appendEncode appends the encoding of samples to dst. With
-// MaxEncodedLen(len(samples)) bytes of spare capacity it never grows dst.
-func appendEncode(dst []byte, samples []uint16) []byte {
-	w := bitWriter{bytes: binary.BigEndian.AppendUint32(dst, uint32(len(samples)))}
+// appendEncode appends the encoding of samples to dst. When floats is
+// non-nil it codes the 16-bit halves uint16(Float32bits(v) >> shift) of
+// floats instead, read into a stack block one block at a time, and samples
+// is ignored. With MaxEncodedLen(n) bytes of spare capacity for n samples
+// it never grows dst.
+func appendEncode(dst []byte, samples []uint16, floats []float32, shift uint) []byte {
+	n := len(samples)
+	if floats != nil {
+		n = len(floats)
+	}
+	w := bitWriter{bytes: binary.BigEndian.AppendUint32(dst, uint32(n))}
 	prev := uint16(0)
 	var mapped [BlockSize]uint32
-	for off := 0; off < len(samples); off += BlockSize {
-		block := samples[off:min(off+BlockSize, len(samples))]
+	var halves [BlockSize]uint16
+	for off := 0; off < n; off += BlockSize {
+		end := min(off+BlockSize, n)
+		block := halves[:end-off]
+		if floats == nil {
+			block = samples[off:end]
+		} else {
+			for i, v := range floats[off:end] {
+				block[i] = uint16(math.Float32bits(v) >> shift)
+			}
+		}
 		m := mapped[:len(block)]
 		p := prev
 		for i, s := range block {

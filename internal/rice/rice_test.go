@@ -2,6 +2,8 @@ package rice
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -221,8 +223,12 @@ func TestMaxEncodedLenIsReached(t *testing.T) {
 	}
 }
 
-// TestEncodeAllocs pins the one output buffer: Encode allocates only its
-// result, EncodeFloat32 its result and one half-word slice.
+// TestEncodeAllocs pins the one output buffer. Encode allocates only its
+// result. EncodeFloat32 on one P allocates only its result; with more it
+// also allocates the closure of the goroutine that codes the low halves
+// and the WaitGroup that carries the low stream's length, so 3 in all. No
+// allocation grows with the sample count: the bytes allocated per call stay
+// within 1 KiB of allocating the output buffer alone.
 func TestEncodeAllocs(t *testing.T) {
 	smooth, err := synth.GaussianSeries(synth.SeriesConfig{N: 16384, Initial: 27000, Sigma: 30}, rng.New(11))
 	if err != nil {
@@ -245,9 +251,45 @@ func TestEncodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(10, func() { EncodeFloat32(sc.Cube.Data) }); n != 2 {
-		t.Errorf("EncodeFloat32 makes %v allocations, want 2", n)
+	data := sc.Cube.Data
+	_, outBytes := allocsPerCall(1, func() { allocSink = make([]byte, 4, 4+2*MaxEncodedLen(len(data))) })
+	for _, tc := range []struct{ procs, allocs int }{{1, 1}, {2, 3}} {
+		allocs, bytes := allocsPerCall(tc.procs, func() { EncodeFloat32(data) })
+		if allocs != tc.allocs {
+			t.Errorf("EncodeFloat32 at GOMAXPROCS %d makes %d allocations, want %d", tc.procs, allocs, tc.allocs)
+		}
+		if bytes >= outBytes+1024 {
+			t.Errorf("EncodeFloat32 at GOMAXPROCS %d allocates %d bytes a call, want under the output's %d + 1024",
+				tc.procs, bytes, outBytes)
+		}
 	}
+}
+
+// allocSink keeps a measured allocation alive.
+var allocSink []byte
+
+// allocsPerCall is testing.AllocsPerRun at a chosen GOMAXPROCS (which
+// AllocsPerRun pins to 1), also reporting the bytes allocated per call.
+// Above one P, starting a goroutine allocates a descriptor until dead ones
+// collect on the free lists, so f warms up for 100 calls, and the least of
+// three 20-call batches is taken, leaving out stray runtime allocations.
+func allocsPerCall(procs int, f func()) (allocs, bytes int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for i := 0; i < 100; i++ {
+		f()
+	}
+	allocs, bytes = math.MaxInt, math.MaxInt
+	for batch := 0; batch < 3; batch++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, int((after.Mallocs-before.Mallocs)/20))
+		bytes = min(bytes, int((after.TotalAlloc-before.TotalAlloc)/20))
+	}
+	return allocs, bytes
 }
 
 func TestLargeValuesWithHugeDeltas(t *testing.T) {
