@@ -12,8 +12,10 @@
 //	    -nodes 10.0.0.1:9035=10.0.0.1:9100,10.0.0.2:9035,10.0.0.3:9035
 //
 // Each entry is serve-addr or serve-addr=health-addr; with a health
-// address the router probes /healthz (and reads the inflight gauge off
-// /metrics for spillover), without one it falls back to TCP dial probes.
+// address the router probes /healthz and keeps the member's /metrics page
+// (its inflight gauge drives spillover), without one it falls back to TCP
+// dial probes. With -metrics, the router's sidecar also serves the fleet
+// view from those pages: /fleet/metrics and /fleet/healthz.
 package main
 
 import (
@@ -55,7 +57,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "health probe period (0 disables probing)")
 	probeFailures := fs.Int("probe-failures", 3, "consecutive failures that eject a member")
 	spillDepth := fs.Int("spill-depth", 0, "member queue depth that triggers spillover (0 disables)")
-	fleetScrape := fs.Duration("fleet-scrape", time.Second, "fleet metrics scrape period for /fleet/metrics (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
 	version := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +103,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	reg.Tracer().SetProc("spaceproc-router " + bound)
 
 	var sidecar *spaceproc.TelemetryServer
-	var agg *spaceproc.TelemetryAggregator
 	if *metricsAddr != "" {
 		sidecar, err = spaceproc.NewTelemetryServer(reg, *metricsAddr)
 		if err != nil {
@@ -110,28 +110,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		sidecar.Handle("/debug/slowest", router.SlowestHandler())
+		sidecar.Handle("/fleet/metrics", router.Fleet().MetricsHandler())
+		sidecar.Handle("/fleet/healthz", router.Fleet().HealthHandler())
 		fmt.Fprintf(out, "metrics on http://%s/metrics\n", sidecar.Addr())
 		fmt.Fprintf(out, "slowest requests on http://%s/debug/slowest\n", sidecar.Addr())
-		// Fleet-wide telemetry: scrape every member that exposes a health
-		// sidecar and serve per-node plus merged views. Members listed
-		// without a health address can't be scraped and are left out.
-		if targets := scrapeTargets(fleet); *fleetScrape > 0 && len(targets) > 0 {
-			agg = spaceproc.NewTelemetryAggregator(targets, *fleetScrape)
-			agg.Start()
-			sidecar.Handle("/fleet/metrics", agg.MetricsHandler())
-			sidecar.Handle("/fleet/healthz", agg.HealthHandler())
-			fmt.Fprintf(out, "fleet metrics on http://%s/fleet/metrics (%d scrapeable node(s))\n",
-				sidecar.Addr(), len(targets))
-		}
+		fmt.Fprintf(out, "fleet metrics on http://%s/fleet/metrics\n", sidecar.Addr())
 	}
 
 	<-ctx.Done()
 	fmt.Fprintln(out, "draining...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if agg != nil {
-		agg.Stop()
-	}
 	drainErr := router.Shutdown(drainCtx)
 	if sidecar != nil {
 		if err := sidecar.Shutdown(drainCtx); err != nil && drainErr == nil {
@@ -143,18 +132,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "drained")
 	return nil
-}
-
-// scrapeTargets maps fleet members with health sidecars to their
-// /metrics URLs, keyed by serve address (the name shown in /fleet views).
-func scrapeTargets(fleet []spaceproc.ServeNode) map[string]string {
-	targets := map[string]string{}
-	for _, n := range fleet {
-		if n.Health != "" {
-			targets[n.Addr] = "http://" + n.Health + "/metrics"
-		}
-	}
-	return targets
 }
 
 // parseNodes splits "-nodes a:1=h:1,b:2" into fleet members.

@@ -1,7 +1,7 @@
 // Package bitutil provides the bit-plane primitives shared by the fault
 // injectors and the preprocessing algorithms: masks, bit runs, power-of-two
-// order statistics, and per-bit-position tallies over 16-bit pixels and
-// 32-bit float payloads.
+// order statistics, bitwise votes, and the plane-major block transpose
+// over 16-bit pixels and 32-bit float payloads.
 //
 // Bit positions follow the paper's convention where useful (offset 0 is the
 // most significant bit of a 16-bit pixel), but every function documents the
@@ -49,22 +49,6 @@ func MaskAtOrAbove(bit, width int) uint32 {
 	return full &^ (1<<uint(bit) - 1)
 }
 
-// MaskAbove returns a width-bit mask selecting bit positions > bit (LSB-0).
-func MaskAbove(bit, width int) uint32 {
-	return MaskAtOrAbove(bit+1, width)
-}
-
-// MaskBelow returns a width-bit mask selecting bit positions < bit (LSB-0).
-func MaskBelow(bit, width int) uint32 {
-	if bit <= 0 {
-		return 0
-	}
-	if bit >= width {
-		return widthMask(width)
-	}
-	return 1<<uint(bit) - 1
-}
-
 func widthMask(width int) uint32 {
 	if width >= 32 {
 		return ^uint32(0)
@@ -77,10 +61,6 @@ func OnesCount16(v uint16) int { return bits.OnesCount16(v) }
 
 // OnesCount32 returns the number of set bits in v.
 func OnesCount32(v uint32) int { return bits.OnesCount32(v) }
-
-// HammingDistance16 returns the number of bit positions in which a and b
-// differ.
-func HammingDistance16(a, b uint16) int { return bits.OnesCount16(a ^ b) }
 
 // LongestRun returns the length of the longest run of true values in m.
 func LongestRun(m []bool) int {
@@ -96,21 +76,6 @@ func LongestRun(m []bool) int {
 		}
 	}
 	return best
-}
-
-// BitPlaneCounts tallies, for each bit position (LSB-0 convention), how many
-// of the given 16-bit words have that bit set. The result has Word16
-// entries; entry i counts bit i.
-func BitPlaneCounts(words []uint16) [Word16]int {
-	var counts [Word16]int
-	for _, w := range words {
-		for b := 0; b < Word16; b++ {
-			if w&(1<<uint(b)) != 0 {
-				counts[b]++
-			}
-		}
-	}
-	return counts
 }
 
 // MajorityVote3 returns the bitwise two-of-three majority of a, b and c.

@@ -86,30 +86,23 @@ func TestMasks(t *testing.T) {
 	if got := MaskAtOrAbove(-3, 16); got != 0xFFFF {
 		t.Errorf("MaskAtOrAbove(-3,16) = %#x", got)
 	}
-	if got := MaskAbove(7, 16); got != 0xFF00 {
-		t.Errorf("MaskAbove(7,16) = %#x", got)
-	}
-	if got := MaskBelow(8, 16); got != 0x00FF {
-		t.Errorf("MaskBelow(8,16) = %#x", got)
-	}
-	if got := MaskBelow(0, 16); got != 0 {
-		t.Errorf("MaskBelow(0,16) = %#x", got)
-	}
-	if got := MaskBelow(99, 16); got != 0xFFFF {
-		t.Errorf("MaskBelow(99,16) = %#x", got)
-	}
 	if got := MaskAtOrAbove(0, 32); got != ^uint32(0) {
 		t.Errorf("MaskAtOrAbove(0,32) = %#x", got)
 	}
 }
 
 func TestMaskPartitionProperty(t *testing.T) {
-	// For any boundary b, below + at-or-above partitions the word.
+	// For any boundary b, the mask splits the word there: it selects
+	// every position at or above b and none below it.
 	f := func(b uint8) bool {
 		bit := int(b % 17)
-		lo := MaskBelow(bit, 16)
 		hi := MaskAtOrAbove(bit, 16)
-		return lo&hi == 0 && lo|hi == 0xFFFF
+		for i := 0; i < 16; i++ {
+			if set := hi>>uint(i)&1 == 1; set != (i >= bit) {
+				return false
+			}
+		}
+		return hi>>16 == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -131,25 +124,6 @@ func TestLongestRun(t *testing.T) {
 	for _, tt := range tests {
 		if got := LongestRun(tt.in); got != tt.want {
 			t.Errorf("LongestRun(%v) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestBitPlaneCounts(t *testing.T) {
-	words := []uint16{0x0001, 0x0003, 0x8001}
-	counts := BitPlaneCounts(words)
-	if counts[0] != 3 {
-		t.Errorf("bit 0 count = %d, want 3", counts[0])
-	}
-	if counts[1] != 1 {
-		t.Errorf("bit 1 count = %d, want 1", counts[1])
-	}
-	if counts[15] != 1 {
-		t.Errorf("bit 15 count = %d, want 1", counts[15])
-	}
-	for b := 2; b < 15; b++ {
-		if counts[b] != 0 {
-			t.Errorf("bit %d count = %d, want 0", b, counts[b])
 		}
 	}
 }
@@ -249,17 +223,5 @@ func TestANDAll(t *testing.T) {
 	}
 	if got := ANDAll([]uint32{0xFF00, 0x0FF0}); got != 0x0F00 {
 		t.Errorf("ANDAll pair = %#x", got)
-	}
-}
-
-func TestHammingDistance16(t *testing.T) {
-	if got := HammingDistance16(0, 0xFFFF); got != 16 {
-		t.Errorf("distance = %d, want 16", got)
-	}
-	if got := HammingDistance16(0xAAAA, 0x5555); got != 16 {
-		t.Errorf("distance = %d, want 16", got)
-	}
-	if got := HammingDistance16(0x1234, 0x1234); got != 0 {
-		t.Errorf("distance = %d, want 0", got)
 	}
 }

@@ -98,47 +98,6 @@ func TransposeBlock64x32(w *[64]uint64, width int) {
 	swapRound(s, 1, swap1, 32)
 }
 
-// UntransposeBlock64x32 is the inverse of TransposeBlock64x32: on entry
-// w[b] holds bit plane b for b < width (w[width:] may hold anything); on
-// return w[l] holds lane l's value in its low width bits, for all 64
-// lanes. The transpose is a product of commuting involutions, so the
-// inverse replays the same rounds with the packing unrolled back into
-// shift-AND unpacking.
-func UntransposeBlock64x32(w *[64]uint64, width int) {
-	if width <= 16 {
-		for k := width; k < 16; k++ {
-			w[k] = 0
-		}
-		s := w[:16]
-		swapRound(s, 1, swap1, 16)
-		swapRound(s, 2, swap2, 16)
-		swapRound(s, 4, swap4, 16)
-		swapRound(s, 8, swap8, 16)
-		for k := 0; k < 16; k++ {
-			v := w[k]
-			w[k] = v & 0xFFFF
-			w[k+16] = v >> 16 & 0xFFFF
-			w[k+32] = v >> 32 & 0xFFFF
-			w[k+48] = v >> 48
-		}
-		return
-	}
-	for k := width; k < 32; k++ {
-		w[k] = 0
-	}
-	s := w[:32]
-	swapRound(s, 1, swap1, 32)
-	swapRound(s, 2, swap2, 32)
-	swapRound(s, 4, swap4, 32)
-	swapRound(s, 8, swap8, 32)
-	swapRound(s, 16, swap16, 32)
-	for k := 0; k < 32; k++ {
-		v := w[k]
-		w[k] = v & 0xFFFFFFFF
-		w[k+32] = v >> 32
-	}
-}
-
 // GroupCounts returns the population count of each stride-wide field of
 // v (stride 16, 32 or 64), in that field: the per-pixel lane count of a
 // plane word that packs 64/stride pixels.
@@ -154,12 +113,6 @@ func GroupCounts(v uint64, stride int) uint64 {
 		v = (v + v>>16) & swap16
 	}
 	return v
-}
-
-// MajorityVote3Words is the two-of-three bitwise majority over 64 lanes at
-// once (the word form of MajorityVote3).
-func MajorityVote3Words(a, b, c uint64) uint64 {
-	return (a & b) | (b & c) | (a & c)
 }
 
 // OnesCount64 returns the number of set bits in v (the lane-population

@@ -83,7 +83,7 @@ func TestPoolRunCampaignDefaultsAndEmptyPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// shards <= 0 selects one shard per capable worker.
+	// shards <= 0 selects one shard per pool worker.
 	pool := newCampaignPool(t, 5, nil)
 	got, err := pool.RunCampaign(context.Background(), c, geom, 0)
 	if err != nil {
@@ -92,8 +92,7 @@ func TestPoolRunCampaignDefaultsAndEmptyPool(t *testing.T) {
 	if got != seq {
 		t.Fatalf("auto-sharded aggregate %+v != sequential %+v", got, seq)
 	}
-	// An empty pool (no capable members) falls back to master-side
-	// enumeration with the same result.
+	// An empty pool runs DefaultWorkers shards with the same result.
 	empty, err := NewPool()
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestRunSpansEndOnFragmentError(t *testing.T) {
 	if got := snap.SpanCounts[StageFragment]; got != 1 {
 		t.Fatalf("fragment spans recorded = %d, want 1", got)
 	}
-	if got := snap.Histograms["pipeline_run"].Count; got != 1 {
+	if got := snap.HistogramStates["pipeline_run"].Count; got != 1 {
 		t.Fatalf("pipeline_run histogram count = %d, want 1", got)
 	}
 	stages := tracerStages(reg.Tracer())
@@ -82,7 +82,7 @@ func TestRunSpansEndOnCancelledRun(t *testing.T) {
 	if got := snap.SpanCounts[StageRun]; got != 1 {
 		t.Fatalf("run spans recorded = %d, want 1 (leaked on the cancellation path)", got)
 	}
-	if got := snap.Histograms["pipeline_run"].Count; got != 1 {
+	if got := snap.HistogramStates["pipeline_run"].Count; got != 1 {
 		t.Fatalf("pipeline_run histogram count = %d, want 1", got)
 	}
 	if stages := tracerStages(reg.Tracer()); stages[StageRun] != 1 {

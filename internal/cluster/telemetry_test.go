@@ -43,7 +43,7 @@ func TestMasterTelemetryCountsTiles(t *testing.T) {
 		t.Fatalf("pipeline_workers = %v, want 2", snap.Gauges["pipeline_workers"])
 	}
 	var perWorker int64
-	for name, h := range snap.Histograms {
+	for name, h := range snap.HistogramStates {
 		if strings.HasPrefix(name, "pipeline_worker_") {
 			perWorker += h.Count
 		}
@@ -51,8 +51,8 @@ func TestMasterTelemetryCountsTiles(t *testing.T) {
 	if perWorker != tiles {
 		t.Fatalf("per-worker histogram counts sum to %d, want %d", perWorker, tiles)
 	}
-	if snap.Histograms["pipeline_tile_process"].Count != tiles {
-		t.Fatalf("tile_process count = %d, want %d", snap.Histograms["pipeline_tile_process"].Count, tiles)
+	if snap.HistogramStates["pipeline_tile_process"].Count != tiles {
+		t.Fatalf("tile_process count = %d, want %d", snap.HistogramStates["pipeline_tile_process"].Count, tiles)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestMasterTelemetryRetries(t *testing.T) {
 // Each registry counts the spans its own process recorded: the worker
 // counts every serve once, and the master counts none, although the
 // folded-back serve spans join its trace. Merging the two /metrics pages,
-// as the fleet aggregator does, therefore counts each serve once.
+// as the router's /fleet/metrics does, therefore counts each serve once.
 func TestTCPSpanCountsPerProcess(t *testing.T) {
 	sc := testScene(t, 26)
 	masterReg := telemetry.NewRegistry()
@@ -139,17 +139,17 @@ func TestTCPSpanCountsPerProcess(t *testing.T) {
 	if want := map[string]int64{"serve": tiles}; !maps.Equal(worker.SpanCounts, want) {
 		t.Fatalf("worker span counts = %v, want %v", worker.SpanCounts, want)
 	}
-	merged := telemetry.NewExposition()
+	var merged telemetry.Snapshot
 	for _, snap := range []telemetry.Snapshot{master, worker} {
 		var page strings.Builder
 		if err := snap.WriteText(&page); err != nil {
 			t.Fatal(err)
 		}
-		exp, err := telemetry.ParseText(strings.NewReader(page.String()))
+		parsed, err := telemetry.ParseText(strings.NewReader(page.String()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged.Merge(exp)
+		merged.Merge(parsed)
 	}
 	if got := merged.SpanCounts["serve"]; got != tiles {
 		t.Fatalf("merged pages count %d serve spans, want %d", got, tiles)

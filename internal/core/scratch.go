@@ -70,11 +70,6 @@ type VoteScratch struct {
 // it exists so the facade can mint one without exposing the fields.
 func NewVoteScratch() *VoteScratch { return new(VoteScratch) }
 
-// Corrections returns the scratch's current correction vector (the result
-// of the most recent pass), for tests that compare scratch and allocating
-// paths.
-func (sc *VoteScratch) Corrections() []uint32 { return sc.corr }
-
 // growU32 returns buf resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified.
 func growU32(buf []uint32, n int) []uint32 {

@@ -25,9 +25,10 @@ const (
 )
 
 // Node is one fleet member: the serve address requests forward to, and
-// optionally the telemetry sidecar address whose /healthz and /metrics
-// drive liveness and queue-depth spillover. An empty Health falls back
-// to TCP dial probes of Addr.
+// optionally the telemetry sidecar address whose /healthz drives
+// liveness and whose /metrics page the prober keeps for queue-depth
+// spillover and the fleet view. An empty Health falls back to TCP dial
+// probes of Addr.
 type Node struct {
 	Addr   string
 	Health string

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,10 +37,17 @@ const (
 )
 
 // NodeStatus is one member's membership snapshot (see Fleet.Status).
+// The member is up exactly when State is NodeHealthy.
 type NodeStatus struct {
 	Addr  string
 	State NodeState
-	Depth int // max of live forwards and the last probed inflight gauge
+	Depth int    // max of live forwards and the stored page's inflight gauge
+	Err   string // the last probe or forward failure
+	// Page is the member's /metrics page as the last probe round kept
+	// it, taken at Scraped; nil when that round got no 200 page (and
+	// always for a member probed by TCP dial).
+	Page    *telemetry.Snapshot
+	Scraped time.Time
 }
 
 // fleetMetrics holds the fleet's registry handles under the configured
@@ -57,8 +63,8 @@ type fleetMetrics struct {
 	nodesUp     *telemetry.Gauge
 }
 
-// fleetNode is one member: its breaker, its queue-depth estimate, and a
-// pool of idle forwarding clients.
+// fleetNode is one member: its breaker, its last /metrics page and the
+// queue depth read off it, and a pool of idle forwarding clients.
 type fleetNode struct {
 	node     Node
 	id       string // metric-safe address
@@ -67,9 +73,12 @@ type fleetNode struct {
 
 	mu          sync.Mutex
 	br          breaker.Breaker
-	probedDepth int       // serve_requests_inflight from the last probe
-	outstanding int       // live forwards from this fleet
-	idle        []*Client // parked forwarding connections
+	cause       string              // the last probe or forward failure
+	page        *telemetry.Snapshot // the last probe round's page; never written once stored
+	scraped     time.Time           // when page was taken
+	probedDepth int                 // serve_requests_inflight off page
+	outstanding int                 // live forwards from this fleet
+	idle        []*Client           // parked forwarding connections
 }
 
 // Fleet is a consistent-hash routing backend over spaceprocd members: it
@@ -90,10 +99,10 @@ type Fleet struct {
 	closeO sync.Once
 }
 
-// NewFleet builds the routing backend from cfg's fleet fields; cfg must
+// newFleet builds the routing backend from cfg's fleet fields; cfg must
 // name at least one node. A positive ProbeInterval starts the background
 // membership prober (stopped by Close).
-func NewFleet(cfg Config) (*Fleet, error) {
+func newFleet(cfg Config) (*Fleet, error) {
 	cfg.clampClient()
 	if len(cfg.Fleet) == 0 {
 		return nil, errors.New("serve: fleet needs at least one node")
@@ -125,7 +134,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		if _, dup := f.nodes[n.Addr]; dup {
 			return nil, fmt.Errorf("serve: duplicate fleet node %s", n.Addr)
 		}
-		fn := &fleetNode{node: n, id: metricSafe(n.Addr)}
+		fn := &fleetNode{node: n, id: metricName(n.Addr, 48)}
 		if cfg.Telemetry != nil {
 			fn.healthyG = cfg.Telemetry.Gauge(p + "_node_" + fn.id + "_healthy")
 			fn.depthG = cfg.Telemetry.Gauge(p + "_node_" + fn.id + "_depth")
@@ -143,24 +152,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		go f.probeLoop()
 	}
 	return f, nil
-}
-
-// metricSafe maps an address onto the telemetry keyspace the way client
-// IDs are mapped.
-func metricSafe(addr string) string {
-	var b strings.Builder
-	for _, r := range addr {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-		if b.Len() >= 48 {
-			break
-		}
-	}
-	return b.String()
 }
 
 // Submit implements Backend: the request routes onto the ring on a
@@ -355,6 +346,17 @@ func (n *fleetNode) popClient(cfg Config) *Client {
 	return newClient(lean, []string{n.node.Addr})
 }
 
+// dropIdle closes the member's parked forwarding connections.
+func (n *fleetNode) dropIdle() {
+	n.mu.Lock()
+	idle := n.idle
+	n.idle = nil
+	n.mu.Unlock()
+	for _, cl := range idle {
+		cl.Close()
+	}
+}
+
 func (n *fleetNode) pushClient(cl *Client) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -415,6 +417,7 @@ func (f *Fleet) noteSuccess(n *fleetNode) {
 // was the half-open trial) into an exponentially longer quarantine.
 func (f *Fleet) noteFailure(n *fleetNode, cause error) {
 	n.mu.Lock()
+	n.cause = cause.Error()
 	wasHealthy := n.br.State == NodeHealthy
 	trip := n.br.Fail(f.cfg.ProbeFailures, f.cfg.ProbeBackoff, f.cfg.ProbeBackoffMax)
 	backoff := n.br.Backoff
@@ -422,6 +425,9 @@ func (f *Fleet) noteFailure(n *fleetNode, cause error) {
 	if !trip {
 		return
 	}
+	// The member's parked connections die with it: reused after a
+	// restart, each would fail once and eject the member again.
+	n.dropIdle()
 	if !wasHealthy {
 		// A re-trip of an already ejected member (the half-open trial
 		// failed): the eject was counted when it left Healthy.
@@ -460,22 +466,23 @@ func (f *Fleet) healthyCount() int {
 	return c
 }
 
-// Status snapshots every member's membership state, keyed by address.
+// Status snapshots every member's membership state and stored page,
+// keyed by address.
 func (f *Fleet) Status() map[string]NodeStatus {
 	out := make(map[string]NodeStatus, len(f.nodes))
 	for addr, n := range f.nodes {
 		n.mu.Lock()
-		out[addr] = NodeStatus{Addr: addr, State: n.br.State, Depth: n.liveDepth()}
+		out[addr] = NodeStatus{
+			Addr: addr, State: n.br.State, Depth: n.liveDepth(),
+			Err: n.cause, Page: n.page, Scraped: n.scraped,
+		}
 		n.mu.Unlock()
 	}
 	return out
 }
 
-// probeLoop drives membership: every ProbeInterval each member is probed
-// — /healthz (and the inflight gauge off /metrics) when it has a Health
-// address, a bare TCP dial of the serve address otherwise. Quarantined
-// members are left alone until their backoff expires; then the probe is
-// the half-open trial.
+// probeLoop drives membership: every ProbeInterval it runs one
+// probeRound.
 func (f *Fleet) probeLoop() {
 	defer f.wg.Done()
 	t := time.NewTicker(f.cfg.ProbeInterval)
@@ -487,23 +494,32 @@ func (f *Fleet) probeLoop() {
 			return
 		case <-t.C:
 		}
-		for _, n := range f.nodes {
-			if !n.admittable() {
-				continue
+		f.probeRound(httpc)
+	}
+}
+
+// probeRound probes each member once — /healthz, then /metrics for the
+// stored page, when it has a Health address, a bare TCP dial of the
+// serve address otherwise. Quarantined members are left alone until
+// their backoff expires; then the probe is the half-open trial.
+func (f *Fleet) probeRound(httpc *http.Client) {
+	for _, n := range f.nodes {
+		if !n.admittable() {
+			continue
+		}
+		if err := f.probe(httpc, n); err != nil {
+			if f.met != nil {
+				f.met.probeFailed.Inc()
 			}
-			if err := f.probe(httpc, n); err != nil {
-				if f.met != nil {
-					f.met.probeFailed.Inc()
-				}
-				f.noteFailure(n, err)
-			} else {
-				f.noteSuccess(n)
-			}
+			f.noteFailure(n, err)
+		} else {
+			f.noteSuccess(n)
 		}
 	}
 }
 
-// probe checks one member's liveness and refreshes its depth estimate.
+// probe checks one member's liveness and replaces its stored page with
+// this round's, none when the member is down.
 func (f *Fleet) probe(httpc *http.Client, n *fleetNode) error {
 	if n.node.Health == "" {
 		conn, err := net.DialTimeout("tcp", n.node.Addr, f.cfg.ProbeInterval*2)
@@ -513,44 +529,63 @@ func (f *Fleet) probe(httpc *http.Client, n *fleetNode) error {
 		conn.Close()
 		return nil
 	}
-	resp, err := httpc.Get("http://" + n.node.Health + "/healthz")
+	err := healthz(httpc, n.node.Health)
+	// The page is best-effort decoration on the liveness verdict: a
+	// member whose /metrics fails, or lacks the gauge, is healthy with no
+	// page or no depth, not unhealthy.
+	var page *telemetry.Snapshot
+	if err == nil {
+		page = scrape(httpc, n.node.Health)
+	}
+	depth, _ := pageDepth(page)
+	n.mu.Lock()
+	n.page, n.scraped, n.probedDepth = page, time.Now(), depth
+	d := n.liveDepth()
+	n.mu.Unlock()
+	if n.depthG != nil {
+		n.depthG.Set(float64(d))
+	}
+	return err
+}
+
+// healthz asks a member's sidecar whether it is alive.
+func healthz(httpc *http.Client, health string) error {
+	resp, err := httpc.Get("http://" + health + "/healthz")
 	if err != nil {
 		return err
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: %s /healthz: %s", n.node.Health, resp.Status)
-	}
-	// Depth is best-effort decoration on the liveness verdict: a node
-	// without the gauge (or a failed scrape) is healthy with unknown
-	// depth, not unhealthy.
-	if depth, ok := f.scrapeDepth(httpc, n.node.Health); ok {
-		n.mu.Lock()
-		n.probedDepth = depth
-		d := n.liveDepth()
-		n.mu.Unlock()
-		if n.depthG != nil {
-			n.depthG.Set(float64(d))
-		}
+		return fmt.Errorf("serve: %s /healthz: %s", health, resp.Status)
 	}
 	return nil
 }
 
-// scrapeDepth pulls the serve_requests_inflight gauge from the node's
-// text exposition through the shared telemetry parser. A truncated body
-// still yields the gauge when it parsed before the fault; a page without
-// the gauge (or an unreachable node) reports no depth, and so does a NaN
-// or negative gauge. A gauge past the int range (an Inf, 1e300), whose
-// conversion Go leaves implementation-defined, saturates, so a swamped
-// node still spills.
-func (f *Fleet) scrapeDepth(httpc *http.Client, health string) (int, bool) {
+// scrape fetches a member's /metrics page through the shared telemetry
+// parser. Only a 200 answer yields a page; a truncated body yields what
+// parsed before the fault.
+func scrape(httpc *http.Client, health string) *telemetry.Snapshot {
 	resp, err := httpc.Get("http://" + health + "/metrics")
 	if err != nil {
-		return 0, false
+		return nil
 	}
 	defer resp.Body.Close()
-	exp, _ := telemetry.ParseText(io.LimitReader(resp.Body, 4<<20))
-	v, ok := exp.Gauge("serve_requests_inflight")
+	if resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	page, _ := telemetry.ParseText(io.LimitReader(resp.Body, 4<<20))
+	return &page
+}
+
+// pageDepth reads the serve_requests_inflight gauge off a page. No page,
+// no gauge, or a NaN or negative gauge reports no depth. A gauge past
+// the int range (an Inf, 1e300), whose conversion Go leaves
+// implementation-defined, saturates, so a swamped member still spills.
+func pageDepth(page *telemetry.Snapshot) (int, bool) {
+	if page == nil {
+		return 0, false
+	}
+	v, ok := page.Gauges["serve_requests_inflight"]
 	if !ok || math.IsNaN(v) || v < 0 {
 		return 0, false
 	}
@@ -566,12 +601,6 @@ func (f *Fleet) Close() {
 	f.closeO.Do(func() { close(f.done) })
 	f.wg.Wait()
 	for _, n := range f.nodes {
-		n.mu.Lock()
-		idle := n.idle
-		n.idle = nil
-		n.mu.Unlock()
-		for _, cl := range idle {
-			cl.Close()
-		}
+		n.dropIdle()
 	}
 }

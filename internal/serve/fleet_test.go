@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,21 +75,45 @@ func startRouter(t *testing.T, cfg Config) (*Router, string) {
 }
 
 func TestFleetValidation(t *testing.T) {
-	if _, err := NewFleet(DefaultConfig()); err == nil {
+	if _, err := newFleet(DefaultConfig()); err == nil {
 		t.Fatal("fleet without members should error")
 	}
 	cfg := DefaultConfig()
 	cfg.ProbeInterval = 0
 	cfg.Fleet = []Node{{Addr: "a:1"}, {Addr: "a:1"}}
-	if _, err := NewFleet(cfg); err == nil {
+	if _, err := newFleet(cfg); err == nil {
 		t.Fatal("duplicate member should error")
 	}
 	cfg.Fleet = []Node{{}}
-	if _, err := NewFleet(cfg); err == nil {
+	if _, err := newFleet(cfg); err == nil {
 		t.Fatal("empty member address should error")
 	}
 	if _, err := NewRouterWith(DefaultRouterConfig()); err == nil {
 		t.Fatal("router without a fleet should error")
+	}
+}
+
+// TestFleetNodeGaugeNames pins the per-member gauge names: the address
+// with every rune outside [A-Za-z0-9_-] mapped to '_', cut at 48 bytes.
+func TestFleetNodeGaugeNames(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	long := strings.Repeat("h", 60) + ":1"
+	cfg := DefaultRouterConfig()
+	cfg.Fleet = []Node{{Addr: "10.0.0.1:9035"}, {Addr: "[::1]:9035"}, {Addr: long}}
+	cfg.ProbeInterval = 0
+	cfg.Telemetry = reg
+	f, err := newFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	gauges := reg.Snapshot().Gauges
+	for _, id := range []string{"10_0_0_1_9035", "___1__9035", strings.Repeat("h", 48)} {
+		for _, suffix := range []string{"_healthy", "_depth"} {
+			if _, ok := gauges["router_node_"+id+suffix]; !ok {
+				t.Errorf("no gauge router_node_%s%s among %v", id, suffix, gauges)
+			}
+		}
 	}
 }
 
@@ -226,6 +251,77 @@ func TestRouterFailoverEjectReadmit(t *testing.T) {
 	}
 }
 
+// TestFleetEjectDropsPooledConnections: the forwarding connections a
+// fleet parked for a member die with it, so once the member is ejected,
+// restarted and readmitted, its next request is served on a fresh
+// connection instead of failing on a stale one and ejecting it again.
+func TestFleetEjectDropsPooledConnections(t *testing.T) {
+	srvA, addrA := startServer(t, &stampBackend{id: 203})
+	_, addrB := startServer(t, &stampBackend{id: 204})
+	cfg := DefaultRouterConfig()
+	cfg.Fleet = []Node{{Addr: addrA}, {Addr: addrB}}
+	cfg.ProbeInterval = 0
+	cfg.ProbeFailures = 2
+	cfg.ProbeBackoff = time.Millisecond
+	f, err := newFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	httpc := httpClient()
+
+	key := ""
+	rg := expectedRing([]string{addrA, addrB})
+	for i := 0; i < 64 && key == ""; i++ {
+		if owner, _ := rg.Lookup(fmt.Sprintf("p%d", i)); owner == addrA {
+			key = fmt.Sprintf("p%d", i)
+		}
+	}
+	if key == "" {
+		t.Fatal("no probe key hashed onto the first member; add candidates")
+	}
+	send := func() uint16 {
+		t.Helper()
+		res := <-f.Submit(WithRoute(context.Background(), Route{Client: "p", Key: key}), testStack(2, 8, 8))
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res.Image.Pix[0]
+	}
+	if got := send(); got != 203 {
+		t.Fatalf("owner should serve, got stamp %d", got)
+	}
+
+	// A dies; two failed dial probes eject it.
+	srvA.Close()
+	f.probeRound(httpc)
+	f.probeRound(httpc)
+	if st := f.Status()[addrA].State; st != NodeQuarantined {
+		t.Fatalf("dead member is %v; want quarantined", st)
+	}
+
+	// A restarts on its address; after the backoff a probe readmits it.
+	srv2, err := NewServerWith(&stampBackend{id: 203}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv2.Listen(addrA); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv2.Close)
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Status()[addrA].State != NodeHealthy {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted member never readmitted")
+		}
+		time.Sleep(time.Millisecond)
+		f.probeRound(httpc)
+	}
+	if got := send(); got != 203 {
+		t.Fatalf("readmitted owner should serve, got stamp %d (cause %q)", got, f.Status()[addrA].Err)
+	}
+}
+
 // TestFleetShedFailsOverWithoutTripping proves a member that sheds for
 // load is routed around — and NOT treated as a transport fault: its
 // breaker stays closed.
@@ -239,7 +335,7 @@ func TestFleetShedFailsOverWithoutTripping(t *testing.T) {
 	cfg.Fleet = []Node{{Addr: addrA}, {Addr: addrB}}
 	cfg.ProbeInterval = 0
 	cfg.Telemetry = reg
-	f, err := NewFleet(cfg)
+	f, err := newFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +400,7 @@ func TestFleetSpilloverOnDepth(t *testing.T) {
 	cfg.ProbeInterval = 0
 	cfg.SpillDepth = 1
 	cfg.Telemetry = reg
-	f, err := NewFleet(cfg)
+	f, err := newFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +525,7 @@ func TestFleetProbesHealthSidecar(t *testing.T) {
 	cfg.ProbeInterval = 20 * time.Millisecond
 	cfg.ProbeFailures = 2
 	cfg.ProbeBackoff = 25 * time.Millisecond
-	f, err := NewFleet(cfg)
+	f, err := newFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +568,7 @@ func TestScrapeDepthValidatesGauge(t *testing.T) {
 		{"1e300", math.MaxInt, true},
 	} {
 		health := serveMetricsPage(t, "gauge serve_requests_inflight "+tc.gauge+"\n", 200)
-		depth, ok := (&Fleet{}).scrapeDepth(httpClient(), health)
+		depth, ok := scrapeDepth(health)
 		if depth != tc.depth || ok != tc.ok {
 			t.Errorf("gauge %s: depth %d, %v; want %d, %v", tc.gauge, depth, ok, tc.depth, tc.ok)
 		}
@@ -573,7 +669,7 @@ func TestFleetRemoteErrorIsTerminal(t *testing.T) {
 	cfg := DefaultRouterConfig()
 	cfg.Fleet = []Node{{Addr: addrA}, {Addr: addrB}}
 	cfg.ProbeInterval = 0
-	f, err := NewFleet(cfg)
+	f, err := newFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type Router struct {
 // DefaultRouterConfig (router_* metrics, no local batching) and name the
 // fleet membership in cfg.Fleet.
 func NewRouterWith(cfg Config) (*Router, error) {
-	fleet, err := NewFleet(cfg)
+	fleet, err := newFleet(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -666,20 +666,27 @@ func sanitizeClientID(id string, conn interface{ RemoteAddr() net.Addr }) string
 		}
 		id = host
 	}
+	if id = metricName(id, 32); id == "" {
+		return "anon"
+	}
+	return id
+}
+
+// metricName maps s onto the telemetry keyspace: runes outside
+// [A-Za-z0-9_-] become '_', and the name stops at limit bytes.
+func metricName(s string, limit int) string {
 	var b strings.Builder
-	for _, r := range id {
+	b.Grow(min(len(s), limit))
+	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == '-':
 			b.WriteRune(r)
 		default:
 			b.WriteByte('_')
 		}
-		if b.Len() >= 32 {
+		if b.Len() >= limit {
 			break
 		}
-	}
-	if b.Len() == 0 {
-		return "anon"
 	}
 	return b.String()
 }

@@ -436,7 +436,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := snap.Gauges["serve_client_test-client_inflight"]; got != 0 {
 		t.Fatalf("per-client gauge = %g after completion", got)
 	}
-	if snap.Histograms["serve_request"].Count != 1 {
+	if snap.HistogramStates["serve_request"].Count != 1 {
 		t.Fatal("request latency not recorded")
 	}
 	if srv.Inflight() != 0 {

@@ -216,10 +216,9 @@ func TestSlowestRingRecordsServedRequests(t *testing.T) {
 }
 
 // TestScrapeDepthViaParser covers the shared-parser replacement of the
-// router's gauge scrape: well-formed, malformed, missing-gauge, and
-// truncated-body expositions.
+// router's gauge scrape: well-formed, malformed, missing-gauge,
+// truncated-body and non-200 expositions.
 func TestScrapeDepthViaParser(t *testing.T) {
-	f := &Fleet{}
 	cases := []struct {
 		name      string
 		body      string
@@ -233,18 +232,19 @@ func TestScrapeDepthViaParser(t *testing.T) {
 		{"missing gauge", "uptime 1s\ncounter serve_requests_total 9\n", 200, 0, false},
 		{"empty body", "", 200, 0, false},
 		{"truncated before gauge", "counter a 1\ngauge serve_requests_inf", 200, 0, false},
+		{"non-200 page", "gauge serve_requests_inflight 7\n", 500, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			health := serveMetricsPage(t, tc.body, tc.status)
-			depth, ok := f.scrapeDepth(httpClient(), health)
+			depth, ok := scrapeDepth(health)
 			if ok != tc.wantOK || depth != tc.wantDepth {
 				t.Errorf("scrapeDepth = (%d, %v); want (%d, %v)", depth, ok, tc.wantDepth, tc.wantOK)
 			}
 		})
 	}
 	t.Run("unreachable", func(t *testing.T) {
-		if depth, ok := f.scrapeDepth(httpClient(), "127.0.0.1:1"); ok || depth != 0 {
+		if depth, ok := scrapeDepth("127.0.0.1:1"); ok || depth != 0 {
 			t.Errorf("scrapeDepth on dead node = (%d, %v); want (0, false)", depth, ok)
 		}
 	})
@@ -266,6 +266,9 @@ func serveMetricsPage(t *testing.T, body string, status int) string {
 }
 
 func httpClient() *http.Client { return &http.Client{Timeout: 2 * time.Second} }
+
+// scrapeDepth is the depth a probe round reads off a member's page.
+func scrapeDepth(health string) (int, bool) { return pageDepth(scrape(httpClient(), health)) }
 
 // keys lists a map's keys for failure messages.
 func keys[V any](m map[string][]V) []string {

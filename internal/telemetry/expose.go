@@ -19,7 +19,9 @@ import (
 // format: one `kind name field=value...` line per metric, stable order.
 // Histogram lines carry both the human-readable quantile digest and the
 // exact machine fields (sum, min_ns, max_ns, and the non-zero bucket
-// counts) that make the page mergeable across nodes via ParseText.
+// counts) that make the page mergeable across nodes via ParseText. A
+// parsed or merged Snapshot renders the same way, so a merged page is
+// itself scrapeable by the next tier up.
 func (s Snapshot) WriteText(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "uptime %s\n", fmtDur(s.Uptime))
@@ -29,8 +31,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	for _, name := range sortedKeys(s.Gauges) {
 		fmt.Fprintf(&b, "gauge %s %g\n", name, s.Gauges[name])
 	}
-	for _, name := range sortedKeys(s.Histograms) {
-		writeHistogramLine(&b, name, s.Histograms[name], s.HistogramStates[name])
+	for _, name := range sortedKeys(s.HistogramStates) {
+		writeHistogramLine(&b, name, s.HistogramStates[name])
 	}
 	for _, stage := range sortedKeys(s.SpanCounts) {
 		fmt.Fprintf(&b, "spans %s %d\n", stage, s.SpanCounts[stage])
@@ -42,7 +44,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 // writeHistogramLine renders one histogram exposition line. The summary
 // fields are for humans; sum/min_ns/max_ns/buckets are exact and let a
 // scraper reconstruct a mergeable HistogramState.
-func writeHistogramLine(b *strings.Builder, name string, h HistogramSummary, st HistogramState) {
+func writeHistogramLine(b *strings.Builder, name string, st HistogramState) {
+	h := st.Summary()
 	fmt.Fprintf(b, "histogram %s count=%d min=%s mean=%s p50=%s p95=%s p99=%s max=%s",
 		name, h.Count, fmtDur(h.Min), fmtDur(h.Mean),
 		fmtDur(h.P50), fmtDur(h.P95), fmtDur(h.P99), fmtDur(h.Max))
@@ -86,10 +89,10 @@ func (s Snapshot) Render() string {
 			fmt.Fprintf(&b, "    %-44s %g\n", name, s.Gauges[name])
 		}
 	}
-	if len(s.Histograms) > 0 {
+	if len(s.HistogramStates) > 0 {
 		b.WriteString("  latencies:\n")
-		for _, name := range sortedKeys(s.Histograms) {
-			h := s.Histograms[name]
+		for _, name := range sortedKeys(s.HistogramStates) {
+			h := s.HistogramStates[name].Summary()
 			fmt.Fprintf(&b, "    %-44s n=%-6d p50=%-9s p95=%-9s p99=%-9s max=%s\n",
 				name, h.Count, fmtDur(h.P50), fmtDur(h.P95), fmtDur(h.P99), fmtDur(h.Max))
 		}

@@ -49,7 +49,7 @@ func FuzzParseText(f *testing.F) {
 			return
 		}
 		e, _ := ParseText(strings.NewReader(page))
-		for name, st := range e.Histograms {
+		for name, st := range e.HistogramStates {
 			if err := checkState(st); err != nil {
 				t.Fatalf("histogram %q: %v", name, err)
 			}

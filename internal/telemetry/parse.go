@@ -12,10 +12,11 @@ import (
 )
 
 // Text-exposition parsing. ParseText is the inverse of Snapshot.WriteText:
-// it reconstructs counters, gauges, and mergeable histogram states from a
-// scraped /metrics page. It is the one parser every scraper in the tree
-// shares — the fleet router's queue-depth probe and the /fleet/metrics
-// aggregator both read through it — replacing ad-hoc field splitting.
+// it rebuilds a Snapshot — counters, gauges, span counts and mergeable
+// histogram states — from a scraped /metrics page. It is the one parser
+// every scraper in the tree shares: the fleet router's prober reads each
+// member's page through it, keeps the page for /fleet/metrics and
+// /fleet/healthz, and takes the spillover depth off it.
 //
 // The parser is deliberately forgiving: malformed lines are skipped, not
 // fatal, because a scrape races the server's own writes and a consumer
@@ -23,107 +24,62 @@ import (
 // error is returned, alongside everything parsed before the fault, so a
 // truncated body still yields its prefix.
 
-// Exposition is a parsed /metrics page: the same shape as a Snapshot but
-// built from text, with full histogram states so pages from many nodes
-// can be merged.
-type Exposition struct {
-	Uptime     time.Duration
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramState
-	SpanCounts map[string]int64
-}
-
-// NewExposition returns an empty exposition with initialized maps.
-func NewExposition() *Exposition {
-	return &Exposition{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramState{},
-		SpanCounts: map[string]int64{},
-	}
-}
-
-// Gauge looks up a gauge by name, reporting whether the page carried it.
-func (e *Exposition) Gauge(name string) (float64, bool) {
-	v, ok := e.Gauges[name]
-	return v, ok
-}
-
-// Counter looks up a counter by name, reporting whether the page carried
-// it.
-func (e *Exposition) Counter(name string) (int64, bool) {
-	v, ok := e.Counters[name]
-	return v, ok
-}
-
-// Merge folds o into e: counters, gauges and span counts sum, histogram
-// states merge bucket-by-bucket, and uptime keeps the maximum (the
+// Merge folds o into s: counters, gauges and span counts sum, histogram
+// states merge bucket by bucket, and uptime keeps the maximum (the
 // longest-lived node). Summing gauges is the useful fleet semantic for
 // the levels exposed here (inflight requests, queue depths, worker
 // counts); a consumer wanting per-node values reads them pre-merge.
-func (e *Exposition) Merge(o *Exposition) {
-	if o == nil {
-		return
+// Merging into the zero Snapshot allocates its maps, and o is never
+// written.
+func (s *Snapshot) Merge(o Snapshot) {
+	if o.Uptime > s.Uptime {
+		s.Uptime = o.Uptime
 	}
-	if o.Uptime > e.Uptime {
-		e.Uptime = o.Uptime
+	s.Counters = sumInto(s.Counters, o.Counters)
+	s.Gauges = sumInto(s.Gauges, o.Gauges)
+	s.SpanCounts = sumInto(s.SpanCounts, o.SpanCounts)
+	if s.HistogramStates == nil {
+		s.HistogramStates = make(map[string]HistogramState, len(o.HistogramStates))
 	}
-	for name, v := range o.Counters {
-		e.Counters[name] += v
-	}
-	for name, v := range o.Gauges {
-		e.Gauges[name] += v
-	}
-	for name, st := range o.Histograms {
-		cur := e.Histograms[name]
+	for name, st := range o.HistogramStates {
+		cur := s.HistogramStates[name]
 		cur.Merge(st)
-		e.Histograms[name] = cur
-	}
-	for name, v := range o.SpanCounts {
-		e.SpanCounts[name] += v
+		s.HistogramStates[name] = cur
 	}
 }
 
-// WriteText renders the exposition in the same line format Snapshot
-// .WriteText emits, so an aggregated page is itself parseable and
-// mergeable by the next tier up.
-func (e *Exposition) WriteText(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "uptime %s\n", fmtDur(e.Uptime))
-	for _, name := range sortedKeys(e.Counters) {
-		fmt.Fprintf(&b, "counter %s %d\n", name, e.Counters[name])
+// sumInto adds src's values into dst, allocating dst when it is nil.
+func sumInto[V int64 | float64](dst, src map[string]V) map[string]V {
+	if dst == nil {
+		dst = make(map[string]V, len(src))
 	}
-	for _, name := range sortedKeys(e.Gauges) {
-		fmt.Fprintf(&b, "gauge %s %g\n", name, e.Gauges[name])
+	for name, v := range src {
+		dst[name] += v
 	}
-	for _, name := range sortedKeys(e.Histograms) {
-		st := e.Histograms[name]
-		writeHistogramLine(&b, name, st.Summary(), st)
-	}
-	for _, stage := range sortedKeys(e.SpanCounts) {
-		fmt.Fprintf(&b, "spans %s %d\n", stage, e.SpanCounts[stage])
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return dst
 }
 
 // ParseText parses a text exposition. Malformed lines are skipped; the
-// returned error is non-nil only for a read fault, and the exposition
+// returned error is non-nil only for a read fault, and the snapshot
 // holds everything parsed up to it.
-func ParseText(r io.Reader) (*Exposition, error) {
-	e := NewExposition()
+func ParseText(r io.Reader) (Snapshot, error) {
+	s := Snapshot{
+		Counters:        map[string]int64{},
+		Gauges:          map[string]float64{},
+		HistogramStates: map[string]HistogramState{},
+		SpanCounts:      map[string]int64{},
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
-		parseLine(e, sc.Text())
+		parseLine(&s, sc.Text())
 	}
-	return e, sc.Err()
+	return s, sc.Err()
 }
 
-// parseLine folds one exposition line into e, silently skipping anything
+// parseLine folds one exposition line into s, silently skipping anything
 // it cannot make sense of.
-func parseLine(e *Exposition, line string) {
+func parseLine(s *Snapshot, line string) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return
@@ -131,32 +87,32 @@ func parseLine(e *Exposition, line string) {
 	switch fields[0] {
 	case "uptime":
 		if d, err := time.ParseDuration(fields[1]); err == nil {
-			e.Uptime = d
+			s.Uptime = d
 		}
 	case "counter":
 		if len(fields) != 3 {
 			return
 		}
 		if v, err := strconv.ParseInt(fields[2], 10, 64); err == nil {
-			e.Counters[fields[1]] = v
+			s.Counters[fields[1]] = v
 		}
 	case "gauge":
 		if len(fields) != 3 {
 			return
 		}
 		if v, err := strconv.ParseFloat(fields[2], 64); err == nil {
-			e.Gauges[fields[1]] = v
+			s.Gauges[fields[1]] = v
 		}
 	case "spans":
 		if len(fields) != 3 {
 			return
 		}
 		if v, err := strconv.ParseInt(fields[2], 10, 64); err == nil {
-			e.SpanCounts[fields[1]] = v
+			s.SpanCounts[fields[1]] = v
 		}
 	case "histogram":
 		if st, ok := parseHistogram(fields[2:]); ok {
-			e.Histograms[fields[1]] = st
+			s.HistogramStates[fields[1]] = st
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -35,13 +33,13 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := e.Counter("req_total"); !ok || v != 42 {
+	if v, ok := e.Counters["req_total"]; !ok || v != 42 {
 		t.Errorf("req_total = %d, %v; want 42, true", v, ok)
 	}
-	if v, ok := e.Gauge("inflight"); !ok || v != 7 {
+	if v, ok := e.Gauges["inflight"]; !ok || v != 7 {
 		t.Errorf("inflight = %g, %v; want 7, true", v, ok)
 	}
-	st, ok := e.Histograms["lat"]
+	st, ok := e.HistogramStates["lat"]
 	if !ok {
 		t.Fatal("histogram lat missing from parsed exposition")
 	}
@@ -77,31 +75,31 @@ func TestParseTextSkipsMalformedLines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := e.Counter("good"); !ok || v != 5 {
+	if v, ok := e.Counters["good"]; !ok || v != 5 {
 		t.Errorf("good = %d, %v; want 5, true", v, ok)
 	}
-	if _, ok := e.Counter("bad"); ok {
+	if _, ok := e.Counters["bad"]; ok {
 		t.Error("malformed counter line was not skipped")
 	}
-	if _, ok := e.Counter("missingvalue"); ok {
+	if _, ok := e.Counters["missingvalue"]; ok {
 		t.Error("short counter line was not skipped")
 	}
-	if v, ok := e.Gauge("depth"); !ok || v != 2.5 {
+	if v, ok := e.Gauges["depth"]; !ok || v != 2.5 {
 		t.Errorf("depth = %g, %v; want 2.5, true", v, ok)
 	}
 	if _, ok := e.Gauges["broken"]; ok {
 		t.Error("malformed gauge line was not skipped")
 	}
-	if _, ok := e.Histograms["lat"]; ok {
+	if _, ok := e.HistogramStates["lat"]; ok {
 		t.Error("histogram with bad count was not skipped")
 	}
-	st, ok := e.Histograms["ok"]
+	st, ok := e.HistogramStates["ok"]
 	if !ok || st.Count != 2 || st.Buckets[21] != 2 {
 		t.Errorf("well-formed histogram mis-parsed: %+v ok=%v", st, ok)
 	}
 	// A corrupt buckets field falls back to the digest approximation
 	// rather than dropping the series.
-	if st, ok := e.Histograms["badbuckets"]; !ok || st.Count != 2 {
+	if st, ok := e.HistogramStates["badbuckets"]; !ok || st.Count != 2 {
 		t.Errorf("histogram with bad buckets should fall back to digest: %+v ok=%v", st, ok)
 	}
 	if e.SpanCounts["run"] != 9 {
@@ -126,17 +124,17 @@ func TestParseHistogramRejectsInconsistentBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	for name, st := range e.Histograms {
+	for name, st := range e.HistogramStates {
 		if err := checkState(st); err != nil {
 			t.Errorf("histogram %q parsed inconsistent: %v", name, err)
 		}
 	}
 	for _, name := range []string{"h", "h2"} {
-		if st, ok := e.Histograms[name]; ok {
+		if st, ok := e.HistogramStates[name]; ok {
 			t.Errorf("histogram %q without digest fields was not skipped: %+v", name, st)
 		}
 	}
-	st, ok := e.Histograms["digest"]
+	st, ok := e.HistogramStates["digest"]
 	if !ok || st.Count != 2 || st.Sum != 4e6 || st.Buckets[bucketIndex(2e6)] != 2 {
 		t.Errorf("mismatched buckets should fall back to the digest: %+v ok=%v", st, ok)
 	}
@@ -147,7 +145,7 @@ func TestParseTextMissingGauge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := e.Gauge("serve_requests_inflight"); ok || v != 0 {
+	if v, ok := e.Gauges["serve_requests_inflight"]; ok || v != 0 {
 		t.Errorf("missing gauge lookup = %g, %v; want 0, false", v, ok)
 	}
 }
@@ -175,10 +173,10 @@ func TestParseTextTruncatedBody(t *testing.T) {
 		t.Fatal("want read error from truncated body")
 	}
 	// Everything before the fault is still delivered.
-	if v, ok := e.Counter("a"); !ok || v != 1 {
+	if v, ok := e.Counters["a"]; !ok || v != 1 {
 		t.Errorf("a = %d, %v; want 1, true (partial parse lost)", v, ok)
 	}
-	if v, ok := e.Counter("b"); !ok || v != 2 {
+	if v, ok := e.Counters["b"]; !ok || v != 2 {
 		t.Errorf("b = %d, %v; want 2, true (partial parse lost)", v, ok)
 	}
 }
@@ -253,7 +251,7 @@ func TestHistogramStateMergeEmptySides(t *testing.T) {
 }
 
 func TestExpositionMergeSumsAndEnvelopes(t *testing.T) {
-	mk := func(c int64, g float64, lats ...time.Duration) *Exposition {
+	mk := func(c int64, g float64, lats ...time.Duration) Snapshot {
 		reg := NewRegistry()
 		reg.Counter("req").Add(c)
 		reg.Gauge("inflight").Set(g)
@@ -269,16 +267,21 @@ func TestExpositionMergeSumsAndEnvelopes(t *testing.T) {
 	a := mk(10, 2, time.Millisecond, 2*time.Millisecond)
 	b := mk(5, 3, 50*time.Millisecond)
 
-	merged := NewExposition()
+	var merged Snapshot
 	merged.Merge(a)
 	merged.Merge(b)
-	if v, _ := merged.Counter("req"); v != 15 {
+	if v := merged.Counters["req"]; v != 15 {
 		t.Errorf("merged counter = %d; want 15", v)
 	}
-	if v, _ := merged.Gauge("inflight"); v != 5 {
+	if v := merged.Gauges["inflight"]; v != 5 {
 		t.Errorf("merged gauge = %g; want 5", v)
 	}
-	st := merged.Histograms["lat"]
+	// The fleet view merges the pages it stores, so Merge must leave its
+	// argument as it was.
+	if a.Counters["req"] != 10 || a.HistogramStates["lat"].Count != 2 {
+		t.Errorf("Merge wrote into its argument: %+v", a)
+	}
+	st := merged.HistogramStates["lat"]
 	if st.Count != 3 {
 		t.Errorf("merged histogram count = %d; want 3 (sum of per-node counts)", st.Count)
 	}
@@ -296,15 +299,15 @@ func TestExpositionMergeSumsAndEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse merged: %v", err)
 	}
-	if again.Histograms["lat"] != st {
-		t.Errorf("merged page did not round-trip: %+v vs %+v", again.Histograms["lat"], st)
+	if again.HistogramStates["lat"] != st {
+		t.Errorf("merged page did not round-trip: %+v vs %+v", again.HistogramStates["lat"], st)
 	}
 }
 
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	// Snapshots taken while writers hammer every metric kind must be
-	// internally coherent: histogram digests derive from the same state
-	// capture, and nothing races (the race detector enforces the rest).
+	// internally coherent: each histogram state's buckets sum to its
+	// count, and nothing races (the race detector enforces the rest).
 	reg := NewRegistry()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -331,11 +334,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		s := reg.Snapshot()
-		st, sum := s.HistogramStates["lat"], s.Histograms["lat"]
-		if st.Count != sum.Count {
-			t.Fatalf("snapshot %d: state count %d != summary count %d (digest not derived from state)",
-				i, st.Count, sum.Count)
-		}
+		st := s.HistogramStates["lat"]
 		if st.Count > 0 {
 			var bucketTotal int64
 			for _, n := range st.Buckets {
@@ -357,104 +356,6 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestAggregatorMergesFleet(t *testing.T) {
-	// Two live registries behind httptest servers plus one dead node:
-	// /fleet/metrics must carry per-node sections and a merged histogram
-	// whose count is the sum of per-node counts; /fleet/healthz must
-	// report degraded.
-	regs := []*Registry{NewRegistry(), NewRegistry()}
-	counts := []int{30, 70}
-	for i, reg := range regs {
-		reg.Counter("serve_requests_total").Add(int64(counts[i]))
-		for j := 0; j < counts[i]; j++ {
-			reg.Histogram("serve_process").Observe(time.Duration(1+j) * time.Millisecond)
-		}
-	}
-	var srvs []*httptest.Server
-	targets := map[string]string{}
-	for i, reg := range regs {
-		reg := reg
-		s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			reg.Snapshot().WriteText(w)
-		}))
-		defer s.Close()
-		srvs = append(srvs, s)
-		targets[fmt.Sprintf("node%d", i)] = s.URL + "/metrics"
-	}
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // refuse connections
-	targets["node-dead"] = dead.URL + "/metrics"
-
-	agg := NewAggregator(targets, time.Hour) // no background ticks in test
-	if up := agg.Refresh(t.Context()); up != 2 {
-		t.Fatalf("Refresh reported %d nodes up; want 2", up)
-	}
-
-	nodes, merged := agg.Fleet()
-	if len(nodes) != 3 {
-		t.Fatalf("Fleet returned %d nodes; want 3", len(nodes))
-	}
-	if v, _ := merged.Counter("serve_requests_total"); v != 100 {
-		t.Errorf("merged counter = %d; want 100", v)
-	}
-	st := merged.Histograms["serve_process"]
-	var perNodeSum int64
-	for _, n := range nodes {
-		if n.Exposition != nil {
-			perNodeSum += n.Exposition.Histograms["serve_process"].Count
-		}
-	}
-	if st.Count != perNodeSum || st.Count != 100 {
-		t.Errorf("merged histogram count = %d; want %d (= sum of per-node counts = 100)",
-			st.Count, perNodeSum)
-	}
-
-	// The text handler carries both per-node and merged sections.
-	mrec := httptest.NewRecorder()
-	agg.MetricsHandler().ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/fleet/metrics", nil))
-	body := mrec.Body.String()
-	for _, want := range []string{"# node node0 up", "# node node1 up", "# node node-dead down", "# fleet merged"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/fleet/metrics missing %q in:\n%s", want, body)
-		}
-	}
-
-	hrec := httptest.NewRecorder()
-	agg.HealthHandler().ServeHTTP(hrec, httptest.NewRequest(http.MethodGet, "/fleet/healthz", nil))
-	if hrec.Code != http.StatusOK {
-		t.Errorf("degraded fleet healthz status = %d; want 200", hrec.Code)
-	}
-	if !strings.Contains(hrec.Body.String(), `"status":"degraded"`) {
-		t.Errorf("healthz body = %s; want degraded", hrec.Body.String())
-	}
-
-	// All nodes down -> 503.
-	for _, s := range srvs {
-		s.Close()
-	}
-	agg.Refresh(t.Context())
-	hrec = httptest.NewRecorder()
-	agg.HealthHandler().ServeHTTP(hrec, httptest.NewRequest(http.MethodGet, "/fleet/healthz", nil))
-	if hrec.Code != http.StatusServiceUnavailable {
-		t.Errorf("all-down fleet healthz status = %d; want 503", hrec.Code)
-	}
-}
-
-func TestAggregatorScrapeNonOK(t *testing.T) {
-	s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "nope", http.StatusInternalServerError)
-	}))
-	defer s.Close()
-	agg := NewAggregator(map[string]string{"n": s.URL}, time.Hour)
-	if up := agg.Refresh(t.Context()); up != 0 {
-		t.Fatalf("Refresh on 500 node reported %d up; want 0", up)
-	}
-	nodes, _ := agg.Fleet()
-	if nodes[0].Up || nodes[0].Err == "" {
-		t.Errorf("node status = %+v; want down with error", nodes[0])
-	}
 }
 
 var _ io.Reader = (*failingReader)(nil)

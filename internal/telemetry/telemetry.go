@@ -94,9 +94,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bits.Len64(uint64(ns))].Add(1)
 }
 
-// ObserveSince records the elapsed time since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -322,17 +319,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
 
 // Snapshot is a consistent point-in-time view of a registry, suitable for
-// rendering after a run or serving from /metrics.
+// rendering after a run or serving from /metrics, and the parsed form of
+// such a page (ParseText): pages from many nodes Merge into one.
 type Snapshot struct {
 	// Uptime is the registry age at snapshot time.
 	Uptime time.Duration
-	// Counters, Gauges and Histograms map metric names to their values.
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSummary
-	// HistogramStates carries each histogram's full bucket state so the
+	// Counters and Gauges map metric names to their values.
+	Counters map[string]int64
+	Gauges   map[string]float64
+	// HistogramStates carries each histogram's full bucket state, so the
 	// text exposition is mergeable across nodes (see HistogramState.Merge
-	// and ParseText).
+	// and ParseText); HistogramState.Summary digests one.
 	HistogramStates map[string]HistogramState
 	// SpanCounts maps each span stage to the number of spans this
 	// process's tracer ever recorded for it (monotonic: eviction from the
@@ -346,7 +343,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Uptime:          r.Uptime(),
 		Counters:        map[string]int64{},
 		Gauges:          map[string]float64{},
-		Histograms:      map[string]HistogramSummary{},
 		HistogramStates: map[string]HistogramState{},
 	}
 	r.mu.RLock()
@@ -357,9 +353,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		st := h.State()
-		s.HistogramStates[name] = st
-		s.Histograms[name] = st.Summary()
+		s.HistogramStates[name] = h.State()
 	}
 	tracer := r.tracer
 	r.mu.RUnlock()

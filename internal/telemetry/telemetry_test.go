@@ -116,7 +116,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := snap.Counters["hits"]; got != goroutines*perG {
 		t.Fatalf("hits = %d, want %d", got, goroutines*perG)
 	}
-	if got := snap.Histograms["lat"].Count; got != goroutines*perG {
+	if got := snap.HistogramStates["lat"].Count; got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	if got := snap.SpanCounts["stage"]; got != goroutines*perG {

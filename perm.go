@@ -1,7 +1,6 @@
 package spaceproc
 
 import (
-	"spaceproc/internal/cluster"
 	"spaceproc/internal/fault"
 	"spaceproc/internal/perm"
 )
@@ -37,8 +36,6 @@ type (
 	// FlipSet is the order-independent constant-memory summary of a
 	// campaign's flips (toggle count + position digest).
 	FlipSet = fault.FlipSet
-	// CampaignShard names one shard of a campaign for worker dispatch.
-	CampaignShard = cluster.CampaignShard
 )
 
 // DefaultPermRounds is the Feistel round count used when 0 is passed.

@@ -2,7 +2,6 @@ package spaceproc
 
 import (
 	"spaceproc/internal/core"
-	"spaceproc/internal/dataset"
 	"spaceproc/internal/metrics"
 )
 
@@ -46,10 +45,6 @@ type (
 	VoteScratch = core.VoteScratch
 	// CubeScratch holds the reusable buffers of a cube preprocessing pass.
 	CubeScratch = core.CubeScratch
-	// PlaneStack is the plane-major (bit-sliced) view of a stack window:
-	// bit b of up to 64 pixel series packs into one uint64 word per
-	// readout, the layout the plane kernels vote on.
-	PlaneStack = dataset.PlaneStack
 )
 
 // Locality models for AlgoOTIS (Section 7.1: spatial is recommended).
@@ -85,19 +80,6 @@ func NewCubeScratch() *CubeScratch { return core.NewCubeScratch() }
 // baseline stack in place, as one ProcessStackPlanes pass over the whole
 // pixel range.
 func ProcessStackWith(p SeriesPreprocessor, s *Stack) { core.ProcessStackWith(p, s) }
-
-// NewPlaneStack allocates a plane-major block holding pixels series of
-// depth readouts at width significant bits. Most callers never build one
-// directly — the plane kernels stage through scratch-held blocks — but
-// the representation is exported for tools and tests that want to
-// inspect or construct bit-sliced data.
-func NewPlaneStack(depth, width, pixels int) (*PlaneStack, error) {
-	return dataset.NewPlaneStack(depth, width, pixels)
-}
-
-// FromStack transposes an entire stack into a fresh 16-bit plane-major
-// block (PlaneStack.ToStack inverts it).
-func FromStack(s *Stack) (*PlaneStack, error) { return dataset.FromStack(s) }
 
 // Evaluation metrics (eqs. 3-4).
 

@@ -11,10 +11,11 @@
 #
 # Fleet:
 #   5. boot three daemons (each with a telemetry sidecar) and a
-#      spaceproc-router in front of them, its own sidecar aggregating
-#      the fleet's /metrics
+#      spaceproc-router in front of them, its own sidecar serving the
+#      fleet view from the /metrics pages its prober keeps
 #   6. drive a verified loadgen pass through the router and, mid-run,
-#      SIGTERM one daemon; require the router to eject it, the pass to
+#      SIGTERM one daemon; require the router to eject it and
+#      /fleet/healthz to list it down while it stays dead, the pass to
 #      finish with zero failures and zero mismatches (failover + retries
 #      absorb the kill), then restart the daemon on its old addresses and
 #      require the router to readmit it
@@ -146,7 +147,7 @@ echo "== booting spaceproc-router"
 router_log="$workdir/router.log"
 "$workdir/spaceproc-router" -addr 127.0.0.1:0 -metrics 127.0.0.1:0 \
     -nodes "$fleet_addrs" \
-    -probe-interval 100ms -probe-failures 2 -fleet-scrape 200ms \
+    -probe-interval 100ms -probe-failures 2 \
     -drain-timeout 30s >"$router_log" 2>"$workdir/router_err.log" &
 router_pid=$!
 pids="$pids $router_pid"
@@ -178,12 +179,22 @@ if ! await_exit "$node2_pid"; then
     cat "$workdir/node2.log" >&2
     exit 1
 fi
-if ! await_grep "$workdir/router_err.log" "fleet node ejected"; then
+if ! await_grep "$workdir/router_err.log" "fleet node ejected.*node=$node2_addr"; then
     echo "router never ejected the dead node:" >&2
     cat "$workdir/router_err.log" >&2
     exit 1
 fi
 echo "router ejected node 2"
+# The fleet view reads the router's breaker, and node 2 stays dead until
+# it is restarted below, so no probe can readmit it before this check.
+curl -s "http://$rmetrics/fleet/healthz" >"$workdir/fleet_healthz_down.json" || true
+if ! grep -q "\"name\":\"$node2_addr\",\"up\":false" "$workdir/fleet_healthz_down.json" ||
+    grep -q '"status":"ok"' "$workdir/fleet_healthz_down.json"; then
+    echo "/fleet/healthz does not list the ejected node 2 down:" >&2
+    cat "$workdir/fleet_healthz_down.json" >&2
+    exit 1
+fi
+echo "/fleet/healthz lists node 2 down"
 
 echo "restarting node 2 on $node2_addr"
 # The router pinned node 2's health address from -nodes, so the restart
@@ -263,9 +274,6 @@ if [ "$daemon_hit" != 1 ]; then
 fi
 
 echo "== fleet telemetry endpoints"
-# Let the aggregator take a post-run scrape so /fleet/metrics reflects
-# the traced pass.
-sleep 0.5
 curl -sf "http://$rmetrics/fleet/metrics" >"$workdir/fleet_metrics.txt"
 for i in 1 2 3; do
     eval "naddr=\$node${i}_addr"

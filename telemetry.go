@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"time"
 
 	"spaceproc/internal/cluster"
 	"spaceproc/internal/telemetry"
@@ -20,9 +19,10 @@ type (
 	// TelemetryRegistry collects counters, gauges, histograms and, through
 	// its Tracer, spans.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a consistent point-in-time copy of a registry;
-	// its SpanCounts hold the per-stage span totals of the registry's
-	// Tracer.
+	// TelemetrySnapshot is a consistent point-in-time copy of a registry,
+	// or a parsed /metrics page (ParseTelemetryText); its SpanCounts hold
+	// the per-stage span totals of the registry's Tracer, and Merge folds
+	// pages from many nodes into one.
 	TelemetrySnapshot = telemetry.Snapshot
 	// HistogramSummary reports count/min/mean/p50/p95/p99/max for one
 	// latency histogram.
@@ -45,16 +45,6 @@ type (
 	// exact count/sum/min/max plus power-of-two buckets, so an
 	// aggregation tier can combine per-node histograms losslessly.
 	HistogramState = telemetry.HistogramState
-	// TelemetryExposition is a parsed /metrics page: counters, gauges,
-	// span counts, and mergeable histogram states.
-	TelemetryExposition = telemetry.Exposition
-	// FleetNodeStatus is one scraped node in a TelemetryAggregator:
-	// up/down, the error, and the node's last parsed exposition.
-	FleetNodeStatus = telemetry.NodeStatus
-	// TelemetryAggregator periodically scrapes a set of /metrics
-	// endpoints and serves per-node plus fleet-merged views
-	// (/fleet/metrics, /fleet/healthz).
-	TelemetryAggregator = telemetry.Aggregator
 	// WorkerServerOption configures a WorkerServer.
 	WorkerServerOption = cluster.ServerOption
 	// AdaptiveConfig parameterizes an AdaptiveWorker.
@@ -100,18 +90,10 @@ func NewTelemetryServer(reg *TelemetryRegistry, addr string) (*TelemetryServer, 
 	return telemetry.NewServer(reg, addr)
 }
 
-// NewTelemetryAggregator builds a fleet scraper over targets (display
-// name → metrics URL) polling every interval (<= 0: one-second
-// default). Call Start to begin scraping and Stop on shutdown; mount
-// MetricsHandler and HealthHandler on a TelemetryServer via Handle.
-func NewTelemetryAggregator(targets map[string]string, interval time.Duration) *TelemetryAggregator {
-	return telemetry.NewAggregator(targets, interval)
-}
-
-// ParseTelemetryText parses a /metrics text exposition. Malformed lines
-// are skipped; a read fault returns the lines parsed so far alongside
-// the error.
-func ParseTelemetryText(r io.Reader) (*TelemetryExposition, error) {
+// ParseTelemetryText parses a /metrics text exposition into a snapshot
+// that can Merge with other nodes' pages. Malformed lines are skipped; a
+// read fault returns the lines parsed so far alongside the error.
+func ParseTelemetryText(r io.Reader) (TelemetrySnapshot, error) {
 	return telemetry.ParseText(r)
 }
 

@@ -62,10 +62,11 @@ func TestTelemetrySnapshotLargeBaseline(t *testing.T) {
 		}
 	}
 	var instrumented int
-	for name, h := range snap.Histograms {
+	for name, st := range snap.HistogramStates {
 		if !strings.HasPrefix(name, "pipeline_worker_") {
 			continue
 		}
+		h := st.Summary()
 		if h.Count > 0 {
 			instrumented++
 			if h.P50 <= 0 || h.P99 < h.P50 {
