@@ -84,9 +84,12 @@ bench-compare:
 # concurrently) against its two-pass reference, the codec/parser fuzzers, the little-endian
 # pixel codec every port, digest and WAL record shares (decode of
 # arbitrary bytes, round trip, zero-copy view against the portable
-# conversion), the budgeted gob receive both network ports read through
-# (its sample carries pixels), and the /metrics exposition parser every
-# scraper reads peer pages with. FUZZTIME scales the
+# conversion), the stack geometry check Submit, Fragment and Reassemble
+# share (malformed stacks and tiles error rather than panic, and a stack
+# that fragments reassembles to itself), the budgeted gob receive both
+# network ports read through (its sample carries pixels), and the
+# /metrics exposition parser every scraper reads peer pages with.
+# FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -105,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzPixels$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzFragmentGeometry$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 

@@ -124,10 +124,13 @@ func BenchmarkProcessStackDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRun measures the full master/worker pipeline at worker
-// shard counts of 1 (classic) and 0 (auto = GOMAXPROCS); the allocated
-// B/op against the pre-scratch baseline is the tentpole's acceptance
-// number.
+// BenchmarkPipelineRun measures the full master/worker pipeline, a
+// 128x128x16 baseline in 32-pixel tiles over four warm LocalWorkers, at
+// worker shard counts of 1 (classic) and 0 (auto = GOMAXPROCS). Its B/op
+// and allocs/op are what one baseline costs the master: the tile results,
+// the frame and its Rice payload. The kernels' scratch is pooled and each
+// tile is gathered into its runner's warm stack, so neither the stack's
+// pixels nor its tiles' are copied per baseline.
 func BenchmarkPipelineRun(b *testing.B) {
 	cfg := spaceproc.DefaultSceneConfig()
 	cfg.Width, cfg.Height = 128, 128

@@ -8,9 +8,11 @@
 // Two transports are provided: an in-process pool (goroutines) and a
 // TCP/gob transport (see transport.go) standing in for the Myrinet
 // interconnect. The master is the long-lived Pool (see pool.go): Submit
-// fragments a baseline onto its shared queue, workers join and leave at
-// runtime behind per-worker circuit breakers, and the returned channel
-// delivers the reassembled, compressed Result.
+// queues a baseline's tiles as windows onto the caller's stack, each
+// runner copies a window out into its warm stack right before the worker
+// runs it, workers join and leave at runtime behind per-worker circuit
+// breakers, and the returned channel delivers the reassembled, compressed
+// Result.
 //
 // The pipeline is observable: pass WithPoolTelemetry to NewPool and it
 // records per-tile dispatch/process/retry/blit spans, per-worker latency
@@ -54,6 +56,11 @@ type Worker interface {
 	// honor ctx cancellation and deadlines: the in-process workers poll
 	// ctx between pixel chunks of both passes, and the TCP transport
 	// propagates the deadline to the remote node.
+	//
+	// The worker owns t.Stack for the call and may repair it in place,
+	// but must not keep it, or any of its frames or pixels, after it
+	// returns: the pool gathers the runner's next tile into the same
+	// stack.
 	ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error)
 }
 
@@ -124,43 +131,14 @@ func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResu
 	return res, nil
 }
 
-// checkTile rejects a tile the kernels cannot index safely: no readouts,
-// a missing frame, frames of different sizes, or a frame whose pixel
-// count is not its width times its height. A tile decoded off the worker
-// port is whatever the peer sent, so every worker checks before it
-// indexes.
+// checkTile rejects a tile the kernels cannot index safely (see
+// dataset.Stack.Check). A tile decoded off the worker port is whatever
+// the peer sent, so every worker checks before it indexes.
 func checkTile(t dataset.Tile) error {
-	if t.Stack == nil || t.Stack.Len() == 0 {
-		return errors.New("cluster: empty tile")
-	}
-	var w, h int
-	for i, f := range t.Stack.Frames {
-		if f == nil {
-			return fmt.Errorf("cluster: tile %d frame %d is missing", t.Index, i)
-		}
-		if i == 0 {
-			w, h = f.Width, f.Height
-		}
-		if f.Width != w || f.Height != h || !fits(f) {
-			return fmt.Errorf("cluster: tile %d frame %d is %dx%d with %d pixels; frame 0 is %dx%d",
-				t.Index, i, f.Width, f.Height, len(f.Pix), w, h)
-		}
+	if err := t.Stack.Check(); err != nil {
+		return fmt.Errorf("cluster: tile %d: %w", t.Index, err)
 	}
 	return nil
-}
-
-// fits reports whether im holds exactly Width x Height pixels. It divides
-// rather than multiplies, so hostile dimensions cannot overflow into a
-// match.
-func fits(im *dataset.Image) bool {
-	n := len(im.Pix)
-	switch {
-	case im.Width < 0 || im.Height < 0:
-		return false
-	case im.Width == 0 || im.Height == 0:
-		return n == 0
-	}
-	return n%im.Width == 0 && n/im.Width == im.Height
 }
 
 // shardScratch is the warm workspace one shard checks out of scratchPool
@@ -294,10 +272,4 @@ func blit(dst *dataset.Image, res TileResult) {
 		dstOff := (res.Y0+y)*dst.Width + res.X0
 		copy(dst.Pix[dstOff:dstOff+res.Image.Width], res.Image.Pix[y*res.Image.Width:(y+1)*res.Image.Width])
 	}
-}
-
-// cloneTile deep-copies a tile so retried jobs never see a half-processed
-// stack.
-func cloneTile(t dataset.Tile) dataset.Tile {
-	return dataset.Tile{Index: t.Index, X0: t.X0, Y0: t.Y0, Stack: t.Stack.Clone()}
 }

@@ -87,10 +87,12 @@ type poolWorker struct {
 	br   breaker.Breaker
 }
 
-// poolJob is one tile of one submission with its retry budget.
+// poolJob is one tile of one submission with its retry budget. The tile
+// is a window onto the submission's stack: its pixels are gathered only
+// when a runner dispatches it, at every attempt.
 type poolJob struct {
 	sub      *submission
-	tile     dataset.Tile
+	win      dataset.Tile
 	retries  int
 	enqueued time.Time // zero unless telemetry is enabled
 	// origin is the trace context of the tile's first dispatch, so every
@@ -362,7 +364,10 @@ type submission struct {
 	ctx  context.Context
 	out  chan *Result
 
-	width, height, tiles int
+	// src is the caller's stack, borrowed until deliver; grid lays the
+	// jobs' windows over it.
+	src  *dataset.Stack
+	grid dataset.Grid
 
 	runTrace telemetry.TraceContext
 	runSpan  *telemetry.TraceSpan
@@ -373,13 +378,18 @@ type submission struct {
 	pending  atomic.Int64
 }
 
-// Submit fragments the stack and enqueues its tiles onto the shared queue,
-// blocking for backpressure when the queue is full, and returns a channel
-// that delivers the baseline's Result exactly once. A failed run delivers
-// a Result whose Err is set (fragmentation error, a stack with no tiles,
-// joined permanent tile failures, ctx cancellation, or pool closure). Many
+// Submit checks the stack's geometry and enqueues its tiles onto the
+// shared queue, blocking for backpressure when the queue is full, and
+// returns a channel that delivers the baseline's Result exactly once. A
+// failed run delivers a Result whose Err is set (a malformed stack or one
+// the tile size does not divide, both dataset.ErrBadGeometry; joined
+// permanent tile failures, ctx cancellation, or pool closure). Many
 // submissions may be in flight at once; their tiles interleave over the
 // same workers.
+//
+// Submit borrows s until the Result is delivered: a queued tile is a
+// window onto s, which a runner copies out at each attempt, so the caller
+// must not write s or its frames before then. The pool never writes s.
 func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 	sub := &submission{pool: p, out: make(chan *Result, 1)}
 	// Continue the caller's trace (the mission layer mints one per
@@ -394,18 +404,12 @@ func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 	sub.ctx = ctx
 
 	fragSpan := p.tracer.StartSpan(sub.runTrace, StageFragment, "baseline")
-	tiles, err := dataset.Fragment(s, p.tileSize)
+	grid, err := dataset.NewGrid(s, p.tileSize)
 	// End the fragment span before the error check so the failed
-	// fragmentation itself is visible in the trace.
+	// geometry check itself is visible in the trace.
 	fragSpan.End()
 	if err != nil {
 		sub.deliver(&Result{Err: err})
-		return sub.out
-	}
-
-	if len(tiles) == 0 {
-		sub.deliver(&Result{Err: fmt.Errorf("%w: a %dx%d stack of %d frames has no tiles",
-			dataset.ErrBadGeometry, s.Width(), s.Height(), s.Len())})
 		return sub.out
 	}
 	// Enqueue only while the pool is open, and count this Submit in p.wg
@@ -421,31 +425,32 @@ func (p *Pool) Submit(ctx context.Context, s *dataset.Stack) <-chan *Result {
 	p.mu.Unlock()
 	defer p.wg.Done()
 
-	sub.width, sub.height, sub.tiles = s.Width(), s.Height(), len(tiles)
-	sub.results = make(chan TileResult, len(tiles))
-	sub.failures = make(chan error, len(tiles))
-	sub.pending.Store(int64(len(tiles)))
+	n := grid.Len()
+	sub.src, sub.grid = s, grid
+	sub.results = make(chan TileResult, n)
+	sub.failures = make(chan error, n)
+	sub.pending.Store(int64(n))
 	if p.met != nil {
 		p.met.runs.Inc()
-		p.met.tiles.Add(int64(len(tiles)))
+		p.met.tiles.Add(int64(n))
 	}
-	for i, t := range tiles {
+	for i := 0; i < n; i++ {
 		// Check cancellation before the select: with queue space free both
 		// cases would be ready and the choice random, and an abandoned
 		// submission must stop enqueueing deterministically.
 		if ctx.Err() != nil {
-			sub.account(len(tiles) - i)
+			sub.account(n - i)
 			return sub.out
 		}
-		j := &poolJob{sub: sub, tile: t, enqueued: p.enqueueTime()}
+		j := &poolJob{sub: sub, win: grid.Window(i), enqueued: p.enqueueTime()}
 		select {
 		case p.jobs <- j:
 			p.noteQueueDepth()
 		case <-ctx.Done():
-			sub.account(len(tiles) - i)
+			sub.account(n - i)
 			return sub.out
 		case <-p.done:
-			sub.failN(len(tiles)-i, errPoolClosed)
+			sub.failN(n-i, errPoolClosed)
 			return sub.out
 		}
 	}
@@ -508,13 +513,13 @@ func (sub *submission) finalize() {
 		return
 	}
 	out := &Result{
-		Image:   dataset.NewImage(sub.width, sub.height),
+		Image:   dataset.NewImage(sub.src.Width(), sub.src.Height()),
 		Retries: int(sub.retried.Load()),
 	}
 	// Merge in tile order, not completion order: VoteStats.Add keeps the
 	// last merged tile's WindowCBit, so the baseline's value must not
 	// depend on which tile finished last.
-	tiles := make([]TileResult, 0, sub.tiles)
+	tiles := make([]TileResult, 0, sub.grid.Len())
 	for res := range sub.results {
 		tiles = append(tiles, res)
 	}
@@ -534,8 +539,8 @@ func (sub *submission) finalize() {
 		out.PreStats.Add(res.PreStats)
 		count++
 	}
-	if count != sub.tiles {
-		sub.deliver(&Result{Err: fmt.Errorf("cluster: reassembled %d of %d tiles", count, sub.tiles)})
+	if count != sub.grid.Len() {
+		sub.deliver(&Result{Err: fmt.Errorf("cluster: reassembled %d of %d tiles", count, sub.grid.Len())})
 		return
 	}
 	compSpan := p.tracer.StartSpan(sub.runTrace, StageCompress, "baseline")
@@ -548,9 +553,11 @@ func (sub *submission) finalize() {
 }
 
 // runWorker is one member's runner: serve quarantine backoff, then compete
-// for queued tiles until removed or the pool closes.
+// for queued tiles until removed or the pool closes. Each tile it takes
+// is gathered into the runner's warm stack.
 func (p *Pool) runWorker(pw *poolWorker) {
 	defer p.wg.Done()
+	var warm warmStack
 	for {
 		p.mu.Lock()
 		state := pw.br.State
@@ -583,7 +590,7 @@ func (p *Pool) runWorker(pw *poolWorker) {
 			return
 		case j := <-p.jobs:
 			p.noteQueueDepth()
-			p.processJob(pw, j)
+			p.processJob(pw, &warm, j)
 		}
 	}
 }
@@ -591,7 +598,9 @@ func (p *Pool) runWorker(pw *poolWorker) {
 // processJob runs one tile on one worker, recording telemetry and routing
 // the outcome: success completes the tile, a worker fault charges (or, on
 // a circuit trip with healthy peers, drains without charging) the retry
-// budget, and a cancelled submission's tile is retired quietly.
+// budget, and a cancelled submission's tile is retired quietly. The
+// worker gets the tile's window gathered into warm, so the caller's stack
+// is only read and every attempt starts from its raw bits.
 //
 // Trace shape per attempt: a dispatch span (queue wait) parented under the
 // tile's originating dispatch (or the run root on the first attempt), a
@@ -599,7 +608,7 @@ func (p *Pool) runWorker(pw *poolWorker) {
 // deadline events under the same dispatch. The process span's context
 // rides the worker ctx, so a remote slave's serve span continues the trace
 // across the wire. TIDs are the worker's stable admission sequence.
-func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
+func (p *Pool) processJob(pw *poolWorker, warm *warmStack, j *poolJob) {
 	sub := j.sub
 	if sub.ctx.Err() != nil {
 		// The submission was abandoned while this tile sat queued; retire
@@ -612,7 +621,7 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 	var start time.Time
 	var dispatchTC, procTC telemetry.TraceContext
 	if p.tracer != nil {
-		label = fmt.Sprintf("tile_%d", j.tile.Index)
+		label = fmt.Sprintf("tile_%d", j.win.Index)
 		parent := j.origin
 		if !parent.Valid() {
 			parent = sub.runTrace
@@ -633,9 +642,9 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 		ctx = telemetry.ContextWithTrace(ctx, p.tracer, procTC)
 		start = time.Now()
 	}
-	res, err := pw.w.ProcessTile(ctx, cloneTile(j.tile))
+	res, err := pw.w.ProcessTile(ctx, warm.gather(sub.src, j.win, p.tileSize))
 	if err == nil {
-		err = checkResult(j.tile, res)
+		err = checkResult(j.win, p.tileSize, res)
 	}
 	if p.tracer != nil {
 		d := time.Since(start)
@@ -672,11 +681,11 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 			// cannot exhaust every tile's retries.
 			if p.log != nil {
 				p.log.LogAttrs(ctx, slog.LevelWarn, "tile drained after worker quarantine",
-					slog.Int("tile", j.tile.Index),
+					slog.Int("tile", j.win.Index),
 					slog.String("worker", pw.id),
 					slog.String("error", err.Error()))
 			}
-			p.requeue(&poolJob{sub: sub, tile: j.tile, retries: j.retries, enqueued: p.enqueueTime(), origin: j.origin})
+			p.requeue(&poolJob{sub: sub, win: j.win, retries: j.retries, enqueued: p.enqueueTime(), origin: j.origin})
 			return
 		}
 		if j.retries < p.retries {
@@ -691,13 +700,13 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 			}
 			if p.log != nil {
 				p.log.LogAttrs(ctx, slog.LevelWarn, "tile retry",
-					slog.Int("tile", j.tile.Index),
+					slog.Int("tile", j.win.Index),
 					slog.Int("attempt", j.retries+1),
 					slog.String("worker", pw.id),
 					slog.String("error", err.Error()))
 			}
 			sub.retried.Add(1)
-			p.requeue(&poolJob{sub: sub, tile: j.tile, retries: j.retries + 1, enqueued: p.enqueueTime(), origin: j.origin})
+			p.requeue(&poolJob{sub: sub, win: j.win, retries: j.retries + 1, enqueued: p.enqueueTime(), origin: j.origin})
 			return
 		}
 		if p.met != nil {
@@ -705,12 +714,12 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 		}
 		if p.log != nil {
 			p.log.LogAttrs(ctx, slog.LevelError, "tile failed permanently",
-				slog.Int("tile", j.tile.Index),
+				slog.Int("tile", j.win.Index),
 				slog.Int("attempts", j.retries+1),
 				slog.String("worker", pw.id),
 				slog.String("error", err.Error()))
 		}
-		sub.fail(fmt.Errorf("cluster: tile %d failed permanently: %w", j.tile.Index, err))
+		sub.fail(fmt.Errorf("cluster: tile %d failed permanently: %w", j.win.Index, err))
 		return
 	}
 	p.noteSuccess(pw)
@@ -721,24 +730,57 @@ func (p *Pool) processJob(pw *poolWorker, j *poolJob) {
 	sub.account(1)
 }
 
-// checkResult rejects an answer that does not fit the tile it was
-// dispatched for: another index or origin, no image, or an image of
-// another size. finalize blits each result by its own geometry, so a
+// checkResult rejects an answer that does not fit the window of edge size
+// it was dispatched for: another index or origin, no image, or an image
+// of another size. finalize blits each result by its own geometry, so a
 // misfit would panic the master or be served inside the frame; the pool
 // treats it as a worker fault instead.
-func checkResult(t dataset.Tile, res TileResult) error {
-	w, h := t.Stack.Width(), t.Stack.Height()
+func checkResult(win dataset.Tile, size int, res TileResult) error {
 	switch {
-	case res.Index != t.Index || res.X0 != t.X0 || res.Y0 != t.Y0:
+	case res.Index != win.Index || res.X0 != win.X0 || res.Y0 != win.Y0:
 		return fmt.Errorf("cluster: worker answered tile %d at (%d,%d) for tile %d at (%d,%d)",
-			res.Index, res.X0, res.Y0, t.Index, t.X0, t.Y0)
+			res.Index, res.X0, res.Y0, win.Index, win.X0, win.Y0)
 	case res.Image == nil:
-		return fmt.Errorf("cluster: worker returned no image for tile %d", t.Index)
-	case res.Image.Width != w || res.Image.Height != h || !fits(res.Image):
+		return fmt.Errorf("cluster: worker returned no image for tile %d", win.Index)
+	case res.Image.Width != size || res.Image.Height != size || !res.Image.Fits():
 		return fmt.Errorf("cluster: worker returned a %dx%d image with %d pixels for %dx%d tile %d",
-			res.Image.Width, res.Image.Height, len(res.Image.Pix), w, h, t.Index)
+			res.Image.Width, res.Image.Height, len(res.Image.Pix), size, size, win.Index)
 	}
 	return nil
+}
+
+// warmStack is a runner's gather target. Each attempt copies its tile's
+// window of the caller's stack into it, and the worker repairs that copy
+// in place. It grows to the largest tile it has gathered and keeps that
+// memory for the runner's life.
+type warmStack struct {
+	stack  dataset.Stack
+	images []dataset.Image
+	frames []*dataset.Image
+	pix    dataset.Pixels
+}
+
+// gather copies window win of src, a tile of edge size, into the warm
+// stack and returns the tile to hand the worker. The frame headers are
+// rebuilt on every gather, so nothing a worker did to the last tile's
+// headers reaches the next.
+func (ws *warmStack) gather(src *dataset.Stack, win dataset.Tile, size int) dataset.Tile {
+	n, area := src.Len(), size*size
+	if len(ws.pix) < n*area {
+		ws.pix = make(dataset.Pixels, n*area)
+	}
+	if len(ws.images) < n {
+		ws.images = make([]dataset.Image, n)
+		ws.frames = make([]*dataset.Image, n)
+	}
+	for i := range n {
+		ws.images[i] = dataset.Image{Width: size, Height: size, Pix: ws.pix[i*area : (i+1)*area : (i+1)*area]}
+		ws.frames[i] = &ws.images[i]
+	}
+	ws.stack.Frames = ws.frames[:n]
+	dataset.CopyWindow(&ws.stack, src, win.X0, win.Y0)
+	win.Stack = &ws.stack
+	return win
 }
 
 // requeue puts a job back on the shared queue without blocking the calling

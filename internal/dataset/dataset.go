@@ -186,7 +186,10 @@ func (c *Cube) Clone() *Cube {
 	return out
 }
 
-// Tile identifies one fragment of a frame in the Figure 1 pipeline.
+// Tile identifies one fragment of a frame in the Figure 1 pipeline. A
+// Tile whose Stack is nil is a window: the index and origin of a tile of
+// a parent stack, as Grid.Window returns it, before its pixels are
+// copied out.
 type Tile struct {
 	// Index is the tile's ordinal in row-major tile order.
 	Index int
@@ -197,71 +200,160 @@ type Tile struct {
 	Stack *Stack
 }
 
-// ErrBadGeometry is returned when a frame cannot be fragmented into an
-// integral number of tiles.
-var ErrBadGeometry = errors.New("dataset: frame dimensions are not a multiple of the tile size")
+// ErrBadGeometry is returned for a stack the pipeline cannot index or
+// tile: a missing stack or frame, frames of different sizes or whose
+// pixel count is not their width times their height, or frame dimensions
+// that are not positive multiples of the tile size.
+var ErrBadGeometry = errors.New("dataset: bad stack geometry")
+
+// Check reports whether the kernels can index s: at least one readout,
+// no missing frame, and every frame the size of frame 0 with exactly
+// width x height pixels. A nil s is reported like an empty one, so a
+// stack that came off the wire can be checked as it is. Errors wrap
+// ErrBadGeometry.
+func (s *Stack) Check() error {
+	if s == nil || len(s.Frames) == 0 {
+		return fmt.Errorf("%w: no readouts", ErrBadGeometry)
+	}
+	var w, h int
+	for i, f := range s.Frames {
+		if f == nil {
+			return fmt.Errorf("%w: frame %d is missing", ErrBadGeometry, i)
+		}
+		if i == 0 {
+			w, h = f.Width, f.Height
+		}
+		if f.Width != w || f.Height != h || !f.Fits() {
+			return fmt.Errorf("%w: frame %d is %dx%d with %d pixels; frame 0 is %dx%d",
+				ErrBadGeometry, i, f.Width, f.Height, len(f.Pix), w, h)
+		}
+	}
+	return nil
+}
+
+// Fits reports whether im holds exactly Width x Height pixels. It divides
+// rather than multiplies, so hostile dimensions cannot overflow into a
+// match.
+func (im *Image) Fits() bool {
+	n := len(im.Pix)
+	switch {
+	case im.Width < 0 || im.Height < 0:
+		return false
+	case im.Width == 0 || im.Height == 0:
+		return n == 0
+	}
+	return n%im.Width == 0 && n/im.Width == im.Height
+}
+
+// Grid is the fragmentation of the paper's Figure 1: square tiles of edge
+// Size laid over a frame in row-major order, TilesX to a row.
+type Grid struct {
+	Size, TilesX, TilesY int
+}
+
+// NewGrid checks s (Stack.Check) and lays tiles of edge tile over its
+// frames. It returns ErrBadGeometry unless the frame dimensions are
+// positive multiples of tile.
+func NewGrid(s *Stack, tile int) (Grid, error) {
+	if err := s.Check(); err != nil {
+		return Grid{}, err
+	}
+	return newGrid(s.Width(), s.Height(), tile)
+}
+
+func newGrid(width, height, tile int) (Grid, error) {
+	if tile <= 0 || width <= 0 || height <= 0 || width%tile != 0 || height%tile != 0 {
+		return Grid{}, fmt.Errorf("%w: %dx%d frames into %d-pixel tiles", ErrBadGeometry, width, height, tile)
+	}
+	return Grid{Size: tile, TilesX: width / tile, TilesY: height / tile}, nil
+}
+
+// Len returns the number of tiles.
+func (g Grid) Len() int { return g.TilesX * g.TilesY }
+
+// Window returns tile i as a window: its index and origin, no pixels.
+func (g Grid) Window(i int) Tile {
+	return Tile{Index: i, X0: i % g.TilesX * g.Size, Y0: i / g.TilesX * g.Size}
+}
+
+// CopyWindow copies the window of src whose top-left pixel is (x0, y0)
+// into dst, readout by readout; the window is the size of dst's frames.
+// dst must be as deep as src and the window must lie inside src's frames.
+func CopyWindow(dst, src *Stack, x0, y0 int) {
+	w, h, stride := dst.Width(), dst.Height(), src.Width()
+	for i, f := range src.Frames {
+		out := dst.Frames[i].Pix
+		for y := 0; y < h; y++ {
+			off := (y0+y)*stride + x0
+			copy(out[y*w:(y+1)*w], f.Pix[off:off+w])
+		}
+	}
+}
 
 // Fragment splits the stack into square tiles of edge tile, preserving all
-// readouts, in row-major tile order. It returns ErrBadGeometry if the frame
-// dimensions are not multiples of tile.
+// readouts, in row-major tile order: each Grid window copied out. It
+// returns ErrBadGeometry for a stack that fails Stack.Check or whose frame
+// dimensions are not positive multiples of tile.
 func Fragment(s *Stack, tile int) ([]Tile, error) {
-	w, h := s.Width(), s.Height()
-	if tile <= 0 || w%tile != 0 || h%tile != 0 {
-		return nil, fmt.Errorf("%w: %dx%d into %d", ErrBadGeometry, w, h, tile)
+	g, err := NewGrid(s, tile)
+	if err != nil {
+		return nil, err
 	}
-	tilesX, tilesY := w/tile, h/tile
-	out := make([]Tile, 0, tilesX*tilesY)
-	for ty := 0; ty < tilesY; ty++ {
-		for tx := 0; tx < tilesX; tx++ {
-			t := Tile{
-				Index: ty*tilesX + tx,
-				X0:    tx * tile,
-				Y0:    ty * tile,
-				Stack: NewStack(s.Len(), tile, tile),
-			}
-			for i, f := range s.Frames {
-				dst := t.Stack.Frames[i]
-				for y := 0; y < tile; y++ {
-					srcOff := (t.Y0+y)*w + t.X0
-					copy(dst.Pix[y*tile:(y+1)*tile], f.Pix[srcOff:srcOff+tile])
-				}
-			}
-			out = append(out, t)
-		}
+	out := make([]Tile, g.Len())
+	for i := range out {
+		t := g.Window(i)
+		t.Stack = NewStack(s.Len(), tile, tile)
+		CopyWindow(t.Stack, s, t.X0, t.Y0)
+		out[i] = t
 	}
 	return out, nil
 }
 
 // Reassemble reverses Fragment: it writes every tile back into a stack of
-// the given frame dimensions. Tiles may arrive in any order. It returns an
-// error if geometry is inconsistent or tiles are missing.
+// n frames of the given dimensions. Tiles may arrive in any order. It
+// returns an error if a tile's stack fails Stack.Check, if tiles are
+// missing or duplicated, or if a tile's depth, size or origin does not fit
+// the grid of its index.
 func Reassemble(tiles []Tile, n, width, height int) (*Stack, error) {
 	if len(tiles) == 0 {
 		return nil, errors.New("dataset: no tiles to reassemble")
 	}
-	tile := tiles[0].Stack.Width()
-	if tile == 0 || width%tile != 0 || height%tile != 0 {
-		return nil, fmt.Errorf("%w: %dx%d from %d", ErrBadGeometry, width, height, tile)
-	}
-	want := (width / tile) * (height / tile)
-	if len(tiles) != want {
-		return nil, fmt.Errorf("dataset: got %d tiles, want %d", len(tiles), want)
-	}
-	out := NewStack(n, width, height)
-	seen := make(map[int]bool, len(tiles))
 	for _, t := range tiles {
-		if t.Stack.Len() != n || t.Stack.Width() != tile || t.Stack.Height() != tile {
+		if err := t.Stack.Check(); err != nil {
+			return nil, fmt.Errorf("dataset: tile %d: %w", t.Index, err)
+		}
+	}
+	tile := tiles[0].Stack.Width()
+	g, err := newGrid(width, height, tile)
+	if err != nil {
+		return nil, err
+	}
+	// Count by division, so hostile dimensions cannot overflow into a
+	// match.
+	if len(tiles)%g.TilesX != 0 || len(tiles)/g.TilesX != g.TilesY {
+		return nil, fmt.Errorf("dataset: got %d tiles, want %dx%d", len(tiles), g.TilesX, g.TilesY)
+	}
+	seen := make([]bool, len(tiles))
+	for _, t := range tiles {
+		if t.Index < 0 || t.Index >= len(tiles) {
+			return nil, fmt.Errorf("dataset: tile %d is outside the %dx%d grid", t.Index, g.TilesX, g.TilesY)
+		}
+		w := g.Window(t.Index)
+		if t.Stack.Len() != n || t.Stack.Width() != tile || t.Stack.Height() != tile || t.X0 != w.X0 || t.Y0 != w.Y0 {
 			return nil, fmt.Errorf("dataset: tile %d has inconsistent geometry", t.Index)
 		}
 		if seen[t.Index] {
 			return nil, fmt.Errorf("dataset: duplicate tile %d", t.Index)
 		}
 		seen[t.Index] = true
-		for i := range out.Frames {
-			src := t.Stack.Frames[i]
+	}
+	out := NewStack(n, width, height)
+	for _, t := range tiles {
+		for i, f := range out.Frames {
+			src := t.Stack.Frames[i].Pix
 			for y := 0; y < tile; y++ {
-				dstOff := (t.Y0+y)*width + t.X0
-				copy(out.Frames[i].Pix[dstOff:dstOff+tile], src.Pix[y*tile:(y+1)*tile])
+				off := (t.Y0+y)*width + t.X0
+				copy(f.Pix[off:off+tile], src[y*tile:(y+1)*tile])
 			}
 		}
 	}

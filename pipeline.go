@@ -32,9 +32,12 @@ type (
 	// AdaptiveWorker preprocesses each tile at the highest sensitivity
 	// its compute budget allows (the Section 2.1 slack-CPU idea).
 	AdaptiveWorker = cluster.AdaptiveWorker
-	// WorkerPool is the Figure 1 master: it fragments each submitted
-	// baseline, schedules the tiles over its workers (membership, health
-	// gating, one shared job queue), then reassembles and compresses.
+	// WorkerPool is the Figure 1 master: it splits each submitted
+	// baseline into tiles, schedules them over its workers (membership,
+	// health gating, one shared job queue), then reassembles and
+	// compresses. Submit borrows the stack until its Result is
+	// delivered: tiles are windows onto it, copied out at each attempt,
+	// so the caller must not write it before then.
 	WorkerPool = cluster.Pool
 	// WorkerPoolOption configures a WorkerPool.
 	WorkerPoolOption = cluster.PoolOption
